@@ -60,6 +60,7 @@ from .mixed import (
     amplitude_mixed,
     compile_mixed,
     cyclotomic_amplitude,
+    distribution_mixed,
     eliminate,
 )
 from .montecarlo import GENERATOR, SampleEstimate, estimate_amplitude
@@ -107,6 +108,7 @@ __all__ = [
     "amplitude_mixed",
     "compile_mixed",
     "cyclotomic_amplitude",
+    "distribution_mixed",
     "eliminate",
     "GENERATOR",
     "SampleEstimate",

@@ -3,7 +3,7 @@
 Subcommands cover the whole pipeline: parse, compile, amplitude,
 distribution, decision, sign, verify, sample, and stats. Exit codes:
 0 success, 1 usage or input error, 2 verification mismatch,
-3 enumeration cap exceeded.
+3 enumeration cap or the 63-variable packed-path limit exceeded.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .circuit import (
 )
 from .compile_z2 import BoundViolationError, compile_circuit, normalize, path_count_check
 from .counting import DEFAULT_CAP, CapExceededError, amplitude, distribution
-from .mixed import amplitude_mixed, compile_mixed, cyclotomic_amplitude, eliminate
+from .mixed import compile_mixed, cyclotomic_amplitude, distribution_mixed
 from .montecarlo import GENERATOR, estimate_amplitude
 from .refsim import MAX_QUBITS, simulate
 from . import __version__
@@ -61,24 +61,21 @@ def _prepared(args: argparse.Namespace) -> Circuit:
     return circuit
 
 
+def _compile(circuit: Circuit, input_bits: BasisString):
+    """The path system of either mode; only the compiler differs."""
+    if circuit.mode is Mode.Z2:
+        return compile_circuit(circuit, input_bits)
+    return compile_mixed(circuit, input_bits)
+
+
 def _cmd_parse(args: argparse.Namespace) -> int:
     circuit = _read_circuit(args.circuit)
     if args.format == "json":
-        gates = []
-        for gate in circuit.gates:
-            if gate.kind is GateKind.P:
-                gates.append(["p", gate.power, *gate.qubits])
-            else:
-                gates.append([gate.kind.value, *gate.qubits])
-        print(
-            json.dumps(
-                {
-                    "mode": circuit.mode.value,
-                    "qubits": circuit.num_qubits,
-                    "gates": gates,
-                }
-            )
-        )
+        gates = [
+            [gate.kind.value, *([gate.power] if gate.kind is GateKind.P else []), *gate.qubits]
+            for gate in circuit.gates
+        ]
+        print(json.dumps({"mode": circuit.mode.value, "qubits": circuit.num_qubits, "gates": gates}))
     else:
         print(
             f"ok: mode={circuit.mode.value} qubits={circuit.num_qubits} "
@@ -89,23 +86,14 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     circuit = _prepared(args)
-    input_bits = _bits_arg(args.input, circuit.num_qubits, "--in")
-    if circuit.mode is Mode.Z2:
-        system = compile_circuit(circuit, input_bits)
-        doc = system.to_dict()
-    else:
-        doc = compile_mixed(circuit, input_bits).to_dict()
+    system = _compile(circuit, _bits_arg(args.input, circuit.num_qubits, "--in"))
     if args.format == "text":
-        print(f"h = {doc['h']}")
-        for j, text in enumerate(doc["outputs"]):
-            print(f"B_{j} = {text}")
-        if circuit.mode is Mode.Z2:
-            print(f"phase = {doc['phase']}")
-        else:
-            rendered = " + ".join(f"{c}*({f})" for c, f in doc["phase"]) or "0"
-            print(f"phase = {rendered}")
+        print(f"h = {system.num_path_vars}")
+        for j, poly in enumerate(system.outputs):
+            print(f"B_{j} = {poly}")
+        print(f"phase = {system.phase}")
     else:
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(system.to_dict(), indent=2))
     return 0
 
 
@@ -130,23 +118,13 @@ def _cmd_amplitude(args: argparse.Namespace) -> int:
 
 def _cmd_distribution(args: argparse.Namespace) -> int:
     circuit = _prepared(args)
-    input_bits = _bits_arg(args.input, circuit.num_qubits, "--in")
+    system = _compile(circuit, _bits_arg(args.input, circuit.num_qubits, "--in"))
     if circuit.mode is Mode.Z2:
-        table = distribution(compile_circuit(circuit, input_bits), args.cap)
-        for bits, value in table.items():
+        for bits, value in distribution(system, args.cap).items():
             print(f"{format_bits(bits)} {value} {value.as_float():.12f}")
     else:
-        system = compile_mixed(circuit, input_bits)
-        for bits in all_basis_strings(circuit.num_qubits):
-            reduced = eliminate(system, bits)
-            if reduced is None:
-                continue
-            value = amplitude_mixed(
-                reduced.phase, reduced.free_vars, system.num_path_vars, args.cap
-            )
-            print(
-                f"{format_bits(bits)} {value} {_format_complex(value.as_complex())}"
-            )
+        for bits, value in distribution_mixed(system, args.cap).items():
+            print(f"{format_bits(bits)} {value} {_format_complex(value.as_complex())}")
     return 0
 
 
@@ -182,14 +160,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     circuit = _prepared(args)
-    input_bits = (0,) * circuit.num_qubits
+    system = _compile(circuit, (0,) * circuit.num_qubits)
     print(
         f"mode = {circuit.mode.value}  qubits = {circuit.num_qubits}  "
         f"gates = {len(circuit.gates)}"
     )
+    print(f"h = {system.num_path_vars}")
     if circuit.mode is Mode.Z2:
-        system = compile_circuit(circuit, input_bits)
-        print(f"h = {system.num_path_vars}")
         print(
             f"outputs: terms {[len(p) for p in system.outputs]} "
             f"degrees {[p.degree for p in system.outputs]}"
@@ -204,9 +181,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         except BoundViolationError as exc:
             print(f"normalized-form bounds: exceeded ({exc})")
     else:
-        system = compile_mixed(circuit, input_bits)
         canonical = system.phase.canonicalize()
-        print(f"h = {system.num_path_vars}")
         print(f"outputs: degrees {[p.degree for p in system.outputs]}")
         print(
             f"phase: raw terms {len(system.phase.terms)}, canonical terms "
@@ -302,6 +277,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+_CAP_HELP = (
+    "largest log2 of the paths to enumerate (default %(default)s): h, or the "
+    "free variables after elimination for a mixed-mode amplitude"
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathsum",
@@ -332,13 +313,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("circuit", help="circuit file")
     sub.add_argument("--in", dest="input", required=True, help="input basis string")
     sub.add_argument("--out", dest="output", required=True, help="output basis string")
-    sub.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap (log2)")
+    sub.add_argument("--cap", type=int, default=DEFAULT_CAP, help=_CAP_HELP)
     sub.add_argument("--normalize", action="store_true")
 
     sub = add("distribution", _cmd_distribution, "exact amplitudes for every output")
     sub.add_argument("circuit", help="circuit file")
     sub.add_argument("--in", dest="input", required=True, help="input basis string")
-    sub.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap (log2)")
+    sub.add_argument("--cap", type=int, default=DEFAULT_CAP, help=_CAP_HELP)
     sub.add_argument("--normalize", action="store_true")
 
     sub = add("decision", _cmd_decision, "emit the ancilla-copy decision circuit")
@@ -358,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--gates", type=int, default=20, help="gates per random circuit")
     sub.add_argument("--mode", choices=("z2", "mixed"), default="z2")
     sub.add_argument("--exhaustive", action="store_true", help="check all basis pairs")
-    sub.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    sub.add_argument("--cap", type=int, default=DEFAULT_CAP, help=_CAP_HELP)
     sub.add_argument("--tol", type=float, default=1e-10)
 
     sub = add("sample", _cmd_sample, "Monte Carlo amplitude estimate over uniform paths")

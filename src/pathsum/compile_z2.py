@@ -1,13 +1,14 @@
-"""Compile Z2-mode circuits into polynomial path systems.
+"""The gate sweep of both modes, and the Z2-mode compiler.
 
 Each qubit line carries a wire polynomial over Z2, starting at the
 constant input bit. X adds 1, CNOT adds the control wire, TOFFOLI adds
 the product of its control wires. H allocates the next path variable
-x_j (numbered 1, 2, ... in gate order), adds the term w * x_j to the
-phase polynomial where w is the wire being replaced, and resets the
-wire to x_j. After the sweep the wire polynomials are the output system
-B and the transition amplitude is determined by counting solutions of
-B(x) = b split by phase parity.
+x_j (numbered 1, 2, ... in gate order), adds the phase term (4, w * x_j)
+(a term (c, f) weighs a path by exp(i*pi/4)^(c*f)) where w is the wire
+being replaced, and resets the wire to x_j; P(k) adds the term (k, w).
+The wires are then the output system B. A z2 phase XORs the indicators
+into one Z2 polynomial, and the amplitude counts solutions of B(x) = b
+split by phase parity.
 """
 
 from __future__ import annotations
@@ -78,6 +79,34 @@ class PathSystem:
         return json.dumps(self.to_dict(), indent=indent)
 
 
+def _sweep(circuit: Circuit, input_bits: Sequence[int]) -> tuple[int, tuple[GF2Poly, ...], list, BasisString]:
+    """Push a basis input through the gates of either mode: returns h, the
+    output wires, the phase as (coefficient, indicator) terms, and the input."""
+    if len(input_bits) != circuit.num_qubits:
+        raise ValueError("input length must match the qubit count")
+    a = tuple(b & 1 for b in input_bits)
+    wires = [GF2Poly.constant(bit) for bit in a]
+    terms: list[tuple[int, GF2Poly]] = []
+    h = 0
+    for gate in circuit.gates:
+        kind, qubits = gate.kind, gate.qubits
+        target = qubits[-1]
+        if kind is GateKind.X:
+            wires[target] = wires[target] + GF2Poly.one()
+        elif kind is GateKind.CNOT:
+            wires[target] = wires[target] + wires[qubits[0]]
+        elif kind is GateKind.TOFFOLI:
+            wires[target] = wires[target] + wires[qubits[0]] * wires[qubits[1]]
+        elif kind is GateKind.P:
+            terms.append((gate.power, wires[target]))
+        else:
+            h += 1
+            fresh = GF2Poly.variable(h)
+            terms.append((4, wires[target] * fresh))
+            wires[target] = fresh
+    return h, tuple(wires), terms, a
+
+
 def compile_circuit(circuit: Circuit, input_bits: Sequence[int]) -> PathSystem:
     """Compile a Z2-mode circuit at a basis input into a PathSystem.
 
@@ -86,31 +115,10 @@ def compile_circuit(circuit: Circuit, input_bits: Sequence[int]) -> PathSystem:
     """
     if circuit.mode is not Mode.Z2:
         raise ValueError("compile_circuit handles z2-mode circuits only")
-    if len(input_bits) != circuit.num_qubits:
-        raise ValueError("input length must match the qubit count")
-    a = tuple(b & 1 for b in input_bits)
-    wires = [GF2Poly.constant(bit) for bit in a]
-    phase = GF2Poly.zero()
-    h = 0
-    for gate in circuit.gates:
-        if gate.kind is GateKind.X:
-            (target,) = gate.qubits
-            wires[target] = wires[target] + GF2Poly.one()
-        elif gate.kind is GateKind.CNOT:
-            control, target = gate.qubits
-            wires[target] = wires[target] + wires[control]
-        elif gate.kind is GateKind.TOFFOLI:
-            c1, c2, target = gate.qubits
-            wires[target] = wires[target] + wires[c1] * wires[c2]
-        elif gate.kind is GateKind.H:
-            (target,) = gate.qubits
-            h += 1
-            fresh = GF2Poly.variable(h)
-            phase = phase + wires[target] * fresh
-            wires[target] = fresh
-        else:
-            raise ValueError(f"gate {gate.kind.value} is not a z2-mode gate")
-    return PathSystem(h, tuple(wires), phase, a)
+    h, wires, terms, a = _sweep(circuit, input_bits)
+    # Every z2 term is a Hadamard's (4, f): the phase parity is the XOR of the f.
+    phase = GF2Poly(mask for _, indicator in terms for mask in indicator.masks)
+    return PathSystem(h, wires, phase, a)
 
 
 def normalize(circuit: Circuit) -> Circuit:

@@ -1,25 +1,31 @@
-"""Exact amplitudes for Z2-mode systems by counting solutions.
+"""Exact amplitudes by counting solutions, and the one enumeration kernel.
 
 For a compiled system with h path variables, the transition amplitude
 to output b is (#(0) - #(1)) / sqrt(2^h) where #(k) counts the
-assignments x with B(x) = b and phase(x) = k. Counting enumerates all
-2^h assignments with vectorized truth tables, processed in fixed-size
-blocks so memory stays bounded; blocks can run on a thread pool sized
-by the PATHSUM_THREADS environment variable.
+assignments x with B(x) = b and phase(x) = k. Mixed-mode systems are
+counted by the same kernel with the phase taken mod 8 (see mixed.py).
+
+The kernel, _tally, packs the 2^k assignments into uint64 words (x_i at
+bit i, so at most 63 variables) and tallies them by output and phase
+value in fixed-size blocks, folding each block into a running sum so
+memory stays bounded; blocks can run on a thread pool sized by the
+PATHSUM_THREADS environment variable.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .circuit import BasisString, index_to_bits
 from .compile_z2 import PathSystem
+from .gf2poly import GF2Poly
 
 __all__ = [
     "DEFAULT_CAP",
@@ -36,10 +42,19 @@ DEFAULT_CAP = 30
 
 _BLOCK_BITS = 20
 _MAX_OUTPUT_QUBITS = 24
+_MAX_PATH_VARS = 63
 
 
 class CapExceededError(RuntimeError):
     """Enumeration would exceed the configured cap."""
+
+
+def _check_packed(k: int) -> None:
+    if k > _MAX_PATH_VARS:
+        raise CapExceededError(
+            f"{k} path variables exceed the packed-path limit of "
+            f"{_MAX_PATH_VARS} (paths are packed in 64-bit words)"
+        )
 
 
 def _check_cap(h: int, cap: int) -> None:
@@ -50,6 +65,7 @@ def _check_cap(h: int, cap: int) -> None:
             f"enumeration over 2^{h} assignments exceeds the cap of 2^{cap}; "
             "raise --cap or fall back to montecarlo sampling"
         )
+    _check_packed(h)
 
 
 def _worker_count() -> int:
@@ -60,26 +76,69 @@ def _worker_count() -> int:
         return 1
 
 
-def _blocks(h: int) -> Iterator[tuple[int, int]]:
-    total = 1 << h
-    step = 1 << min(h, _BLOCK_BITS)
-    for start in range(0, total, step):
-        yield start, min(start + step, total)
+def _pack(indices: np.ndarray) -> np.ndarray:
+    """Pack uint64 path indices in place: x_i at bit i, since variables are 1-based."""
+    indices <<= np.uint64(1)
+    return indices
 
 
-def _run_blocks(h: int, work):
-    """Map work(start, stop) over enumeration blocks, threaded if configured."""
-    spans = list(_blocks(h))
+def _select(outputs: Sequence[GF2Poly], target: Sequence[int], points: np.ndarray) -> np.ndarray:
+    """Mask of the packed points whose outputs equal the target bits."""
+    keep = np.ones(points.shape, dtype=bool)
+    for poly, bit in zip(outputs, target):
+        keep &= poly.values(points) == bool(bit)
+    return keep
+
+
+def _fold(k: int, shape: tuple[int, int], work: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """Sum the tables work(start, stop) over the blocks of 2^k paths as
+    they finish; a thread pool keeps at most two blocks per worker in flight."""
+    total = np.zeros(shape, dtype=np.int64)
+    step = 1 << min(k, _BLOCK_BITS)
+    spans = ((start, start + step) for start in range(0, 1 << k, step))
     workers = _worker_count()
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda span: work(*span), spans))
-    return [work(start, stop) for start, stop in spans]
+    if workers == 1 or k <= _BLOCK_BITS:
+        for start, stop in spans:
+            total += work(start, stop)
+        return total
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: deque = deque()
+        for start, stop in spans:
+            pending.append(pool.submit(work, start, stop))
+            if len(pending) >= 2 * workers:
+                total += pending.popleft().result()
+        for future in pending:
+            total += future.result()
+    return total
 
 
-def _points(start: int, stop: int) -> np.ndarray:
-    # Path variables are 1-based, so assignment bits live at positions 1..h.
-    return np.arange(start, stop, dtype=np.uint64) << np.uint64(1)
+def _tally(k: int, outputs: Sequence[GF2Poly], phase, target: Sequence[int] | None, cap: int) -> np.ndarray:
+    """Count the 2^k packed paths by output and by phase value.
+
+    Columns are phase values: mod 2 for a GF2Poly phase, mod 8 for a
+    MixedPhase. With a target basis string the one row counts the paths
+    whose outputs equal it; with None there is one row per output
+    index, qubit j being bit j of the index.
+    """
+    _check_cap(k, cap)
+    modulus = 2 if isinstance(phase, GF2Poly) else 8
+    keyed = outputs if target is None else ()
+    if len(keyed) > _MAX_OUTPUT_QUBITS:
+        raise CapExceededError(
+            f"full distribution over {len(keyed)} qubits exceeds the {_MAX_OUTPUT_QUBITS}-qubit cap"
+        )
+    shift = modulus.bit_length() - 1
+
+    def work(start: int, stop: int) -> np.ndarray:
+        points = _pack(np.arange(start, stop, dtype=np.uint64))
+        if target:
+            points = points[_select(outputs, target, points)]
+        key = phase.values(points).astype(np.intp)
+        for j, poly in enumerate(keyed):
+            key |= poly.values(points).astype(np.intp) << (j + shift)
+        return np.bincount(key, minlength=modulus << len(keyed)).reshape(-1, modulus)
+
+    return _fold(k, (1 << len(keyed), modulus), work)
 
 
 @dataclass(frozen=True)
@@ -113,59 +172,23 @@ class RealAmplitude:
         return f"{self.gap}/2^({self.half_power}/2)"
 
 
-def _validate_output(system: PathSystem, output_bits: Sequence[int]) -> tuple[int, ...]:
-    if len(output_bits) != system.num_qubits:
-        raise ValueError("output length must match the qubit count")
-    return tuple(b & 1 for b in output_bits)
-
-
 def count(system: PathSystem, output_bits: Sequence[int], cap: int = DEFAULT_CAP) -> CountPair:
     """Count solutions of B(x) = b with phase 0 and with phase 1."""
-    b = _validate_output(system, output_bits)
+    if len(output_bits) != system.num_qubits:
+        raise ValueError("output length must match the qubit count")
+    b = tuple(bit & 1 for bit in output_bits)
     h = system.num_path_vars
-    _check_cap(h, cap)
-
-    def work(start: int, stop: int) -> tuple[int, int]:
-        points = _points(start, stop)
-        selected = np.ones(points.shape, dtype=bool)
-        for poly, bit in zip(system.outputs, b):
-            selected &= poly.values(points) == bool(bit)
-        phase = system.phase.values(points)
-        c1 = int(np.count_nonzero(selected & phase))
-        c0 = int(np.count_nonzero(selected)) - c1
-        return c0, c1
-
-    pairs = _run_blocks(h, work)
-    return CountPair(sum(p[0] for p in pairs), sum(p[1] for p in pairs), h)
+    (row,) = _tally(h, system.outputs, system.phase, b, cap).tolist()
+    return CountPair(row[0], row[1], h)
 
 
 def count_all(system: PathSystem, cap: int = DEFAULT_CAP) -> dict[BasisString, CountPair]:
     """Count pairs for every output basis string in a single sweep."""
     h = system.num_path_vars
-    _check_cap(h, cap)
-    n = system.num_qubits
-    if n > _MAX_OUTPUT_QUBITS:
-        raise CapExceededError(
-            f"full distribution over {n} qubits exceeds the {_MAX_OUTPUT_QUBITS}-qubit cap"
-        )
-
-    def work(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        points = _points(start, stop)
-        index = np.zeros(points.shape, dtype=np.uint32)
-        for j, poly in enumerate(system.outputs):
-            index |= poly.values(points).astype(np.uint32) << np.uint32(j)
-        phase = system.phase.values(points)
-        size = 1 << n
-        zeros = np.bincount(index[~phase], minlength=size)
-        ones = np.bincount(index[phase], minlength=size)
-        return zeros, ones
-
-    results = _run_blocks(h, work)
-    zeros = sum(r[0] for r in results)
-    ones = sum(r[1] for r in results)
+    table = _tally(h, system.outputs, system.phase, None, cap)
     return {
-        index_to_bits(i, n): CountPair(int(zeros[i]), int(ones[i]), h)
-        for i in range(1 << n)
+        index_to_bits(i, system.num_qubits): CountPair(c0, c1, h)
+        for i, (c0, c1) in enumerate(table.tolist())
     }
 
 

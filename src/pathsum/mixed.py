@@ -18,8 +18,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .circuit import BasisString, Circuit, GateKind, Mode, format_bits, parse_bits
-from .counting import DEFAULT_CAP, _check_cap, _run_blocks
+from .circuit import BasisString, Circuit, Mode, format_bits, index_to_bits, parse_bits
+from .compile_z2 import _sweep
+from .counting import DEFAULT_CAP, _tally
 from .gf2poly import GF2Poly, _mask_vars, _term_key, parse_poly
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "compile_mixed",
     "eliminate",
     "amplitude_mixed",
+    "distribution_mixed",
     "cyclotomic_amplitude",
 ]
 
@@ -172,39 +174,16 @@ class MixedSystem:
 def compile_mixed(circuit: Circuit, input_bits: Sequence[int]) -> MixedSystem:
     """Compile a mixed-mode circuit at a basis input.
 
-    Wire rules match the z2 compiler for X, CNOT and H; P(k) on wire w
+    Runs the gate sweep shared with the z2 compiler: P(k) on wire w
     adds the phase term (k, w); H on wire w adds (4, w * x_j) for the
     fresh variable x_j, since a Hadamard contributes the sign (-1)^(w*x).
     """
     if circuit.mode is not Mode.MIXED:
         raise ValueError("compile_mixed handles mixed-mode circuits only")
-    if len(input_bits) != circuit.num_qubits:
-        raise ValueError("input length must match the qubit count")
-    a = tuple(b & 1 for b in input_bits)
-    wires = [GF2Poly.constant(bit) for bit in a]
-    terms: list[tuple[int, GF2Poly]] = []
-    h = 0
-    for gate in circuit.gates:
-        if gate.kind is GateKind.X:
-            (target,) = gate.qubits
-            wires[target] = wires[target] + GF2Poly.one()
-        elif gate.kind is GateKind.CNOT:
-            control, target = gate.qubits
-            wires[target] = wires[target] + wires[control]
-        elif gate.kind is GateKind.P:
-            (target,) = gate.qubits
-            terms.append((gate.power, wires[target]))
-        elif gate.kind is GateKind.H:
-            (target,) = gate.qubits
-            h += 1
-            fresh = GF2Poly.variable(h)
-            terms.append((4, wires[target] * fresh))
-            wires[target] = fresh
-        else:
-            raise ValueError(f"gate {gate.kind.value} is not a mixed-mode gate")
+    h, wires, terms, a = _sweep(circuit, input_bits)
     for wire in wires:
         assert wire.degree <= 1, "mixed-mode wires must stay affine"
-    return MixedSystem(h, tuple(wires), MixedPhase(tuple(terms)), a)
+    return MixedSystem(h, wires, MixedPhase(tuple(terms)), a)
 
 
 @dataclass(frozen=True)
@@ -230,13 +209,8 @@ def eliminate(system: MixedSystem, output_bits: Sequence[int]) -> Reduced | None
     for poly, bit in zip(system.outputs, b):
         if poly.degree > 1:
             raise ValueError("output constraints must be affine")
-        mask = 0
-        rhs = bit
-        for monomial in poly.masks:
-            if monomial == 0:
-                rhs ^= 1
-            else:
-                mask |= monomial
+        # Affine: distinct one-variable monomials, plus 0 for the constant 1.
+        mask, rhs = sum(poly.masks), bit ^ (0 in poly.masks)
         for var, (pmask, prhs) in pivots.items():
             if mask >> var & 1:
                 mask ^= pmask
@@ -299,6 +273,11 @@ class CyclotomicValue:
         return f"({' '.join(parts)})/2^({self.half_power}/2)"
 
 
+def _omega_coeffs(tallies: Sequence[int]) -> tuple[int, int, int, int]:
+    """Coefficients of 1, w, w^2, w^3 from tallies of the phase mod 8 (w^4 = -1)."""
+    return tuple(int(tallies[k] - tallies[k + 4]) for k in range(4))
+
+
 def amplitude_mixed(
     phase: MixedPhase,
     free_vars: Sequence[int],
@@ -312,32 +291,35 @@ def amplitude_mixed(
     variables survived elimination.
     """
     order = tuple(free_vars)
-    position = {var: k for k, var in enumerate(order)}
     extra = phase.support() - set(order)
     if extra:
         raise ValueError(
             f"phase references non-free variables {sorted(extra)}"
         )
-    _check_cap(len(order), cap)
-    translated = [
-        (
-            coeff,
-            GF2Poly(
-                sum(1 << position[v] for v in _mask_vars(mask))
-                for mask in indicator.masks
-            ),
-        )
-        for coeff, indicator in phase.terms
-    ]
-    local = MixedPhase(tuple(translated))
+    # The kernel enumerates variables 1..k, so free variable order[i] becomes x_(i+1).
+    position = {var: i + 1 for i, var in enumerate(order)}
+    local = MixedPhase(tuple(
+        (c, GF2Poly(sum(1 << position[v] for v in _mask_vars(m)) for m in f.masks))
+        for c, f in phase.terms
+    ))
+    (tallies,) = _tally(len(order), (), local, (), cap).tolist()
+    return CyclotomicValue(_omega_coeffs(tallies), num_hadamards)
 
-    def work(start: int, stop: int) -> np.ndarray:
-        points = np.arange(start, stop, dtype=np.uint64)
-        return np.bincount(local.values(points), minlength=8)
 
-    tallies = sum(_run_blocks(len(order), work))
-    coeffs = tuple(int(tallies[k] - tallies[k + 4]) for k in range(4))
-    return CyclotomicValue(coeffs, num_hadamards)
+def distribution_mixed(system: MixedSystem, cap: int = DEFAULT_CAP) -> dict[BasisString, CyclotomicValue]:
+    """Exact amplitudes for every reachable output in one sweep over 2^h paths.
+
+    Outputs whose constraints B(x) = b have no solution (those that
+    eliminate refutes) are omitted; a reachable output whose terms
+    cancel still appears, with the zero value.
+    """
+    h = system.num_path_vars
+    table = _tally(h, system.outputs, system.phase, None, cap)
+    return {
+        index_to_bits(i, system.num_qubits): CyclotomicValue(_omega_coeffs(row), h)
+        for i, row in enumerate(table.tolist())
+        if any(row)
+    }
 
 
 def cyclotomic_amplitude(

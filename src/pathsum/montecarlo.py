@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .compile_z2 import PathSystem
+from .counting import _check_packed, _pack, _select
 
 __all__ = ["GENERATOR", "SampleEstimate", "estimate_amplitude"]
 
@@ -42,7 +43,8 @@ def estimate_amplitude(
     """Unbiased amplitude estimate from num_samples uniform path draws.
 
     Fully determined by the seed. std_error is the sample standard
-    deviation (ddof=1) divided by sqrt(num_samples).
+    deviation (ddof=1) divided by sqrt(num_samples). Systems beyond
+    the 63-variable packed-path limit raise CapExceededError.
     """
     if num_samples < 2:
         raise ValueError("need at least two samples for a standard error")
@@ -50,12 +52,10 @@ def estimate_amplitude(
         raise ValueError("output length must match the qubit count")
     b = tuple(bit & 1 for bit in output_bits)
     h = system.num_path_vars
+    _check_packed(h)
     rng = np.random.default_rng(seed)
-    # Path variables are 1-based, so assignment bits live at positions 1..h.
-    draws = rng.integers(0, 1 << h, size=num_samples, dtype=np.uint64) << np.uint64(1)
-    selected = np.ones(num_samples, dtype=bool)
-    for poly, bit in zip(system.outputs, b):
-        selected &= poly.values(draws) == bool(bit)
+    draws = _pack(rng.integers(0, 1 << h, size=num_samples, dtype=np.uint64))
+    selected = _select(system.outputs, b, draws)
     signs = np.where(system.phase.values(draws), -1.0, 1.0)
     scores = np.where(selected, math.sqrt(2.0 ** h) * signs, 0.0)
     estimate = float(scores.mean())
