@@ -38,6 +38,7 @@ from .compile_z2 import (
     BoundViolationError,
     PathSystem,
     compile_circuit,
+    compile_mixed,
     normalize,
     path_count_check,
 )
@@ -45,20 +46,18 @@ from .counting import (
     DEFAULT_CAP,
     CapExceededError,
     CountPair,
+    CyclotomicValue,
     RealAmplitude,
     amplitude,
     count,
     count_all,
     distribution,
 )
-from .gf2poly import GF2Poly, parse_poly
+from .gf2poly import GF2Poly, MixedPhase, parse_poly
 from .mixed import (
-    CyclotomicValue,
-    MixedPhase,
     MixedSystem,
     Reduced,
     amplitude_mixed,
-    compile_mixed,
     cyclotomic_amplitude,
     distribution_mixed,
     eliminate,

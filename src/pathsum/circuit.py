@@ -134,21 +134,28 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.num_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
-        allowed = MODE_GATES[self.mode]
         for gate in self.gates:
-            if gate.kind not in allowed:
-                raise ValueError(
-                    f"gate {gate.kind.value} not allowed in {self.mode.value} mode"
-                )
-            if max(gate.qubits) >= self.num_qubits:
-                raise ValueError(
-                    f"gate {gate.kind.value} touches qubit {max(gate.qubits)} "
-                    f"but the circuit has {self.num_qubits} qubit(s)"
-                )
+            _check_gate(gate, self.num_qubits, self.mode)
 
     @property
     def num_hadamards(self) -> int:
         return sum(1 for g in self.gates if g.kind is GateKind.H)
+
+
+def _check_kind(kind: GateKind, mode: Mode) -> None:
+    if kind not in MODE_GATES[mode]:
+        raise ValueError(f"gate {kind.value} not allowed in {mode.value} mode")
+
+
+def _check_gate(gate: Gate, num_qubits: int, mode: Mode) -> None:
+    """The rules a valid Gate must also meet in a circuit: the mode's gate
+    set and the register size."""
+    _check_kind(gate.kind, mode)
+    if max(gate.qubits) >= num_qubits:
+        raise ValueError(
+            f"gate {gate.kind.value} touches qubit {max(gate.qubits)} "
+            f"but the circuit has {num_qubits} qubit(s)"
+        )
 
 
 class CircuitSyntaxError(ValueError):
@@ -193,12 +200,12 @@ def all_basis_strings(num_qubits: int) -> Iterator[BasisString]:
         yield index_to_bits(index, num_qubits)
 
 
-_GATE_FIELDS = {
-    "x": (GateKind.X, 1),
-    "h": (GateKind.H, 1),
-    "cx": (GateKind.CNOT, 2),
-    "ccx": (GateKind.TOFFOLI, 3),
-}
+def _convert(convert, word: str, complaint: str):
+    """convert(word), or a ValueError that quotes the word after the complaint."""
+    try:
+        return convert(word)
+    except ValueError:
+        raise ValueError(f"{complaint} {word!r}") from None
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -209,7 +216,8 @@ def parse_circuit(text: str) -> Circuit:
     0-based qubit indices: ``x q``, ``h q``, ``cx control target``,
     ``ccx c1 c2 target``, ``p k q`` (mixed only, k in 0..7), and
     ``t q`` as shorthand for ``p 1 q``. ``#`` starts a comment. File
-    order is application order.
+    order is application order. Each gate is checked by Gate and by the
+    same rules as Circuit; any error carries its line number.
     """
     mode: Mode | None = None
     num_qubits: int | None = None
@@ -220,68 +228,29 @@ def parse_circuit(text: str) -> Circuit:
             continue
         fields = line.split()
         head = fields[0].lower()
-        if mode is None:
-            if head != "mode" or len(fields) != 2:
-                raise CircuitSyntaxError(lineno, "expected 'mode z2' or 'mode mixed'")
-            try:
-                mode = Mode(fields[1].lower())
-            except ValueError:
-                raise CircuitSyntaxError(
-                    lineno, f"unknown mode {fields[1]!r}"
-                ) from None
-            continue
-        if num_qubits is None:
-            if head != "qubits" or len(fields) != 2:
-                raise CircuitSyntaxError(lineno, "expected 'qubits N'")
-            try:
-                num_qubits = int(fields[1])
-            except ValueError:
-                raise CircuitSyntaxError(lineno, f"bad qubit count {fields[1]!r}") from None
-            if num_qubits < 1:
-                raise CircuitSyntaxError(lineno, "qubit count must be positive")
-            continue
-        if head in ("t", "p"):
-            kind = GateKind.P
-            if head == "t":
-                power, operands = 1, fields[1:]
+        try:
+            if mode is None:
+                if head != "mode" or len(fields) != 2:
+                    raise ValueError("expected 'mode z2' or 'mode mixed'")
+                mode = _convert(Mode, fields[1].lower(), "unknown mode")
+            elif num_qubits is None:
+                if head != "qubits" or len(fields) != 2:
+                    raise ValueError("expected 'qubits N'")
+                num_qubits = _convert(int, fields[1], "bad qubit count")
+                if num_qubits < 1:
+                    raise ValueError("qubit count must be positive")
             else:
-                if len(fields) < 2:
-                    raise CircuitSyntaxError(lineno, "p needs a power and a qubit")
-                try:
-                    power = int(fields[1])
-                except ValueError:
-                    raise CircuitSyntaxError(lineno, f"bad phase power {fields[1]!r}") from None
-                if not 0 <= power <= 7:
-                    raise CircuitSyntaxError(lineno, "phase power must be in 0..7")
-                operands = fields[2:]
-            arity = 1
-        elif head in _GATE_FIELDS:
-            kind, arity = _GATE_FIELDS[head]
-            power, operands = None, fields[1:]
-        else:
-            raise CircuitSyntaxError(lineno, f"unknown gate {head!r}")
-        if kind not in MODE_GATES[mode]:
-            raise CircuitSyntaxError(
-                lineno, f"gate {head!r} not allowed in {mode.value} mode"
-            )
-        if len(operands) != arity:
-            raise CircuitSyntaxError(
-                lineno, f"{head} takes {arity} qubit(s), got {len(operands)}"
-            )
-        qubits = []
-        for word in operands:
-            try:
-                q = int(word)
-            except ValueError:
-                raise CircuitSyntaxError(lineno, f"bad qubit index {word!r}") from None
-            if not 0 <= q < num_qubits:
-                raise CircuitSyntaxError(
-                    lineno, f"qubit {q} out of range for {num_qubits} qubit(s)"
-                )
-            qubits.append(q)
-        if len(set(qubits)) != len(qubits):
-            raise CircuitSyntaxError(lineno, f"{head} operands must be distinct")
-        gates.append(Gate(kind, tuple(qubits), power))
+                if head == "t":  # t q is sugar for p 1 q
+                    head, fields = "p", ["p", "1", *fields[1:]]
+                kind = _convert(GateKind, head, "unknown gate")
+                words, power = fields[1:], None
+                if kind is GateKind.P and words:
+                    power, words = _convert(int, words[0], "bad phase power"), words[1:]
+                gate = Gate(kind, tuple(_convert(int, w, "bad qubit index") for w in words), power)
+                _check_gate(gate, num_qubits, mode)
+                gates.append(gate)
+        except ValueError as exc:
+            raise CircuitSyntaxError(lineno, str(exc)) from None
     if mode is None or num_qubits is None:
         raise CircuitSyntaxError(1, "missing mode or qubits declaration")
     return Circuit(num_qubits, tuple(gates), mode)
@@ -378,8 +347,7 @@ def random_circuit(
         sorted(MODE_GATES[mode], key=lambda k: k.value)
     )
     for kind in pool:
-        if kind not in MODE_GATES[mode]:
-            raise ValueError(f"gate {kind.value} not allowed in {mode.value} mode")
+        _check_kind(kind, mode)
     gates: list[Gate] = []
     h_used = 0
     for _ in range(num_gates):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -30,9 +31,9 @@ from .circuit import (
     render_circuit,
     sign_transform,
 )
-from .compile_z2 import BoundViolationError, compile_circuit, normalize, path_count_check
+from .compile_z2 import BoundViolationError, compile_circuit, compile_mixed, normalize, path_count_check
 from .counting import DEFAULT_CAP, CapExceededError, amplitude, distribution
-from .mixed import compile_mixed, cyclotomic_amplitude, distribution_mixed
+from .mixed import cyclotomic_amplitude
 from .montecarlo import GENERATOR, estimate_amplitude
 from .refsim import MAX_QUBITS, simulate
 from . import __version__
@@ -63,9 +64,7 @@ def _prepared(args: argparse.Namespace) -> Circuit:
 
 def _compile(circuit: Circuit, input_bits: BasisString):
     """The path system of either mode; only the compiler differs."""
-    if circuit.mode is Mode.Z2:
-        return compile_circuit(circuit, input_bits)
-    return compile_mixed(circuit, input_bits)
+    return (compile_circuit if circuit.mode is Mode.Z2 else compile_mixed)(circuit, input_bits)
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
@@ -119,25 +118,21 @@ def _cmd_amplitude(args: argparse.Namespace) -> int:
 def _cmd_distribution(args: argparse.Namespace) -> int:
     circuit = _prepared(args)
     system = _compile(circuit, _bits_arg(args.input, circuit.num_qubits, "--in"))
-    if circuit.mode is Mode.Z2:
-        for bits, value in distribution(system, args.cap).items():
-            print(f"{format_bits(bits)} {value} {value.as_float():.12f}")
-    else:
-        for bits, value in distribution_mixed(system, args.cap).items():
-            print(f"{format_bits(bits)} {value} {_format_complex(value.as_complex())}")
+    z2 = circuit.mode is Mode.Z2
+    for bits, value in distribution(system, args.cap).items():
+        decimal = f"{value.as_float():.12f}" if z2 else _format_complex(value.as_complex())
+        print(f"{format_bits(bits)} {value} {decimal}")
     return 0
 
 
-def _cmd_decision(args: argparse.Namespace) -> int:
-    circuit = _read_circuit(args.circuit)
-    print(render_circuit(decision_transform(circuit, args.answer)), end="")
-    return 0
+def _cmd_transform(transform):
+    """A handler printing transform(circuit, answer qubit) as circuit text."""
 
+    def run(args: argparse.Namespace) -> int:
+        print(render_circuit(transform(_read_circuit(args.circuit), args.answer)), end="")
+        return 0
 
-def _cmd_sign(args: argparse.Namespace) -> int:
-    circuit = _read_circuit(args.circuit)
-    print(render_circuit(sign_transform(circuit, args.answer)), end="")
-    return 0
+    return run
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -227,6 +222,11 @@ def _verify_circuit(
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # A NaN tolerance passes every pair and zero pairs check nothing: both pass vacuously.
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be a finite non-negative number, got {args.tol}")
+    if args.pairs < 1 or args.trials < 1:
+        raise ValueError("--pairs and --trials must be at least 1")
     rng = np.random.default_rng(args.seed)
     if args.circuit == "random":
         mode = Mode(args.mode)
@@ -294,44 +294,41 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pathsum {__version__}")
     commands = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, handler, help_text: str, circuit_help: str = "circuit file") -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=help_text)
         sub.set_defaults(handler=handler)
+        sub.add_argument("circuit", help=circuit_help)
         return sub
 
     sub = add("parse", _cmd_parse, "check a circuit file and print a summary")
-    sub.add_argument("circuit", help="circuit file")
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
     sub = add("compile", _cmd_compile, "compile to a polynomial path system")
-    sub.add_argument("circuit", help="circuit file")
     sub.add_argument("--in", dest="input", required=True, help="input basis string")
     sub.add_argument("--normalize", action="store_true", help="insert H pairs after TOFFOLIs first (z2 mode)")
     sub.add_argument("--format", choices=("text", "json"), default="json")
 
     sub = add("amplitude", _cmd_amplitude, "exact transition amplitude <out|U|in>")
-    sub.add_argument("circuit", help="circuit file")
     sub.add_argument("--in", dest="input", required=True, help="input basis string")
     sub.add_argument("--out", dest="output", required=True, help="output basis string")
     sub.add_argument("--cap", type=int, default=DEFAULT_CAP, help=_CAP_HELP)
     sub.add_argument("--normalize", action="store_true")
 
     sub = add("distribution", _cmd_distribution, "exact amplitudes for every output")
-    sub.add_argument("circuit", help="circuit file")
     sub.add_argument("--in", dest="input", required=True, help="input basis string")
     sub.add_argument("--cap", type=int, default=DEFAULT_CAP, help=_CAP_HELP)
     sub.add_argument("--normalize", action="store_true")
 
-    sub = add("decision", _cmd_decision, "emit the ancilla-copy decision circuit")
-    sub.add_argument("circuit", help="circuit file")
+    sub = add("decision", _cmd_transform(decision_transform), "emit the ancilla-copy decision circuit")
     sub.add_argument("--answer", type=int, default=0, help="answer qubit (default 0)")
 
-    sub = add("sign", _cmd_sign, "emit the (-1)^f diagonal-sign circuit")
-    sub.add_argument("circuit", help="circuit file")
+    sub = add("sign", _cmd_transform(sign_transform), "emit the (-1)^f diagonal-sign circuit")
     sub.add_argument("--answer", type=int, default=0, help="answer qubit (default 0)")
 
-    sub = add("verify", _cmd_verify, "cross-check path-sum amplitudes against the dense simulator")
-    sub.add_argument("circuit", help="circuit file, or 'random'")
+    sub = add(
+        "verify", _cmd_verify, "cross-check path-sum amplitudes against the dense simulator",
+        "circuit file, or 'random'",
+    )
     sub.add_argument("--trials", type=int, default=20, help="random circuits to draw")
     sub.add_argument("--pairs", type=int, default=4, help="basis pairs per circuit")
     sub.add_argument("--seed", type=int, default=0)
@@ -343,7 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--tol", type=float, default=1e-10)
 
     sub = add("sample", _cmd_sample, "Monte Carlo amplitude estimate over uniform paths")
-    sub.add_argument("circuit", help="circuit file")
     sub.add_argument("--in", dest="input", required=True, help="input basis string")
     sub.add_argument("--out", dest="output", required=True, help="output basis string")
     sub.add_argument("--samples", type=int, default=4096)
@@ -352,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--normalize", action="store_true")
 
     sub = add("stats", _cmd_stats, "compiled-system sizes and bound checks")
-    sub.add_argument("circuit", help="circuit file")
     sub.add_argument("--normalize", action="store_true")
 
     return parser

@@ -1,4 +1,4 @@
-"""The gate sweep of both modes, and the Z2-mode compiler.
+"""The gate sweep and the compilers of both modes.
 
 Each qubit line carries a wire polynomial over Z2, starting at the
 constant input bit. X adds 1, CNOT adds the control wire, TOFFOLI adds
@@ -6,9 +6,10 @@ the product of its control wires. H allocates the next path variable
 x_j (numbered 1, 2, ... in gate order), adds the phase term (4, w * x_j)
 (a term (c, f) weighs a path by exp(i*pi/4)^(c*f)) where w is the wire
 being replaced, and resets the wire to x_j; P(k) adds the term (k, w).
-The wires are then the output system B. A z2 phase XORs the indicators
-into one Z2 polynomial, and the amplitude counts solutions of B(x) = b
-split by phase parity.
+The wires are then the output system B. compile_circuit XORs the
+indicators into one Z2 phase polynomial, so the amplitude counts
+solutions of B(x) = b split by phase parity; compile_mixed keeps the
+terms as a MixedPhase. Both return a PathSystem.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from .circuit import (
     format_bits,
     parse_bits,
 )
-from .gf2poly import GF2Poly, parse_poly
+from .gf2poly import GF2Poly, MixedPhase, parse_poly
 
 __all__ = [
     "PathSystem",
     "BoundReport",
     "BoundViolationError",
     "compile_circuit",
+    "compile_mixed",
     "normalize",
     "path_count_check",
 ]
@@ -40,17 +42,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PathSystem:
-    """Output of the Z2 compiler.
+    """A compiled path sum of either mode.
 
     ``outputs[j]`` is the polynomial B_j for qubit j, ``phase`` is the
-    Z2 phase polynomial, and both are over path variables x_1 .. x_h
-    where ``num_path_vars`` = h = number of Hadamards. ``input_bits``
-    records the basis input the system was compiled at.
+    Z2 phase polynomial (z2 mode) or a MixedPhase (mixed mode), and both
+    are over path variables x_1 .. x_h where ``num_path_vars`` = h =
+    number of Hadamards. ``input_bits`` records the basis input the
+    system was compiled at.
     """
 
     num_path_vars: int
     outputs: tuple[GF2Poly, ...]
-    phase: GF2Poly
+    phase: GF2Poly | MixedPhase
     input_bits: BasisString
 
     @property
@@ -58,20 +61,24 @@ class PathSystem:
         return len(self.outputs)
 
     def to_dict(self) -> dict:
-        """Machine-readable form with polynomials in rendered text."""
+        """Machine-readable form with polynomials in rendered text; a
+        mixed phase is a list of [coefficient, indicator] pairs."""
+        z2 = isinstance(self.phase, GF2Poly)
         return {
             "h": self.num_path_vars,
             "input": format_bits(self.input_bits),
             "outputs": [str(p) for p in self.outputs],
-            "phase": str(self.phase),
+            "phase": str(self.phase) if z2 else [[c, str(f)] for c, f in self.phase.terms],
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> PathSystem:
+        phase = doc["phase"]
         return cls(
             num_path_vars=int(doc["h"]),
             outputs=tuple(parse_poly(text) for text in doc["outputs"]),
-            phase=parse_poly(doc["phase"]),
+            phase=parse_poly(phase) if isinstance(phase, str)
+            else MixedPhase(tuple((int(c), parse_poly(f)) for c, f in phase)),
             input_bits=parse_bits(doc["input"]),
         )
 
@@ -119,6 +126,20 @@ def compile_circuit(circuit: Circuit, input_bits: Sequence[int]) -> PathSystem:
     # Every z2 term is a Hadamard's (4, f): the phase parity is the XOR of the f.
     phase = GF2Poly(mask for _, indicator in terms for mask in indicator.masks)
     return PathSystem(h, wires, phase, a)
+
+
+def compile_mixed(circuit: Circuit, input_bits: Sequence[int]) -> PathSystem:
+    """Compile a mixed-mode circuit at a basis input.
+
+    Runs the gate sweep shared with the z2 compiler: P(k) on wire w
+    adds the phase term (k, w); H on wire w adds (4, w * x_j) for the
+    fresh variable x_j, since a Hadamard contributes the sign (-1)^(w*x).
+    """
+    if circuit.mode is not Mode.MIXED:
+        raise ValueError("compile_mixed handles mixed-mode circuits only")
+    h, wires, terms, a = _sweep(circuit, input_bits)
+    assert all(wire.degree <= 1 for wire in wires), "mixed-mode wires must stay affine"
+    return PathSystem(h, wires, MixedPhase(tuple(terms)), a)
 
 
 def normalize(circuit: Circuit) -> Circuit:

@@ -2,8 +2,10 @@
 
 For a compiled system with h path variables, the transition amplitude
 to output b is (#(0) - #(1)) / sqrt(2^h) where #(k) counts the
-assignments x with B(x) = b and phase(x) = k. Mixed-mode systems are
-counted by the same kernel with the phase taken mod 8 (see mixed.py).
+assignments x with B(x) = b and phase(x) = k. A mixed-mode phase is
+tallied mod 8 instead, giving CyclotomicValues. distribution serves
+both modes; count, count_all and amplitude are z2-mode only (mixed.py
+eliminates before it tallies one mixed amplitude).
 
 The kernel, _tally, packs the 2^k assignments into uint64 words (x_i at
 bit i, so at most 63 variables) and tallies them by output and phase
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,6 +35,7 @@ __all__ = [
     "CapExceededError",
     "CountPair",
     "RealAmplitude",
+    "CyclotomicValue",
     "count",
     "count_all",
     "amplitude",
@@ -41,7 +45,8 @@ __all__ = [
 DEFAULT_CAP = 30
 
 _BLOCK_BITS = 20
-_MAX_OUTPUT_QUBITS = 24
+# One ~320-byte dict entry per output: about 330 MB at 20 qubits, the dense simulator's limit.
+_MAX_OUTPUT_QUBITS = 20
 _MAX_PATH_VARS = 63
 
 
@@ -71,9 +76,12 @@ def _check_cap(h: int, cap: int) -> None:
 def _worker_count() -> int:
     raw = os.environ.get("PATHSUM_THREADS", "1")
     try:
-        return max(1, int(raw))
+        if int(raw) >= 1:
+            return int(raw)
     except ValueError:
-        return 1
+        pass
+    warnings.warn(f"PATHSUM_THREADS={raw!r} is not a positive integer; running on 1 thread", RuntimeWarning)
+    return 1
 
 
 def _pack(indices: np.ndarray) -> np.ndarray:
@@ -172,8 +180,56 @@ class RealAmplitude:
         return f"{self.gap}/2^({self.half_power}/2)"
 
 
+@dataclass(frozen=True)
+class CyclotomicValue:
+    """Exact amplitude (c0 + c1*w + c2*w^2 + c3*w^3) / sqrt(2^half_power)
+    with w = exp(i*pi/4) and integer coefficients."""
+
+    coeffs: tuple[int, int, int, int]
+    half_power: int
+
+    @classmethod
+    def zero(cls, half_power: int) -> CyclotomicValue:
+        return cls((0, 0, 0, 0), half_power)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.coeffs == (0, 0, 0, 0)
+
+    def as_complex(self) -> complex:
+        omega = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
+        total = sum(c * omega ** k for k, c in enumerate(self.coeffs))
+        return total / math.sqrt(2.0 ** self.half_power)
+
+    def mag_squared(self) -> tuple[int, int]:
+        """|numerator|^2 as (a, b) meaning a + b*sqrt(2), exactly."""
+        c0, c1, c2, c3 = self.coeffs
+        rational = c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3
+        radical = c0 * c1 + c1 * c2 + c2 * c3 - c3 * c0
+        return rational, radical
+
+    def __str__(self) -> str:
+        c0, c1, c2, c3 = self.coeffs
+        parts = [str(c0)]
+        for coeff, name in ((c1, "w"), (c2, "w^2"), (c3, "w^3")):
+            sign = "+" if coeff >= 0 else "-"
+            parts.append(f"{sign} {abs(coeff)}*{name}")
+        return f"({' '.join(parts)})/2^({self.half_power}/2)"
+
+
+def _omega_coeffs(tallies: Sequence[int]) -> tuple[int, int, int, int]:
+    """Coefficients of 1, w, w^2, w^3 from tallies of the phase mod 8 (w^4 = -1)."""
+    return tuple(int(tallies[k] - tallies[k + 4]) for k in range(4))
+
+
+def _require_z2(system: PathSystem) -> None:
+    if not isinstance(system.phase, GF2Poly):
+        raise ValueError("this entry point handles z2-mode systems only, not a mixed (mod 8) phase")
+
+
 def count(system: PathSystem, output_bits: Sequence[int], cap: int = DEFAULT_CAP) -> CountPair:
     """Count solutions of B(x) = b with phase 0 and with phase 1."""
+    _require_z2(system)
     if len(output_bits) != system.num_qubits:
         raise ValueError("output length must match the qubit count")
     b = tuple(bit & 1 for bit in output_bits)
@@ -184,6 +240,7 @@ def count(system: PathSystem, output_bits: Sequence[int], cap: int = DEFAULT_CAP
 
 def count_all(system: PathSystem, cap: int = DEFAULT_CAP) -> dict[BasisString, CountPair]:
     """Count pairs for every output basis string in a single sweep."""
+    _require_z2(system)
     h = system.num_path_vars
     table = _tally(h, system.outputs, system.phase, None, cap)
     return {
@@ -198,14 +255,20 @@ def amplitude(system: PathSystem, output_bits: Sequence[int], cap: int = DEFAULT
     return RealAmplitude(pair.gap, pair.h)
 
 
-def distribution(system: PathSystem, cap: int = DEFAULT_CAP) -> dict[BasisString, RealAmplitude]:
-    """Exact amplitudes for every reachable output basis string.
+def distribution(system: PathSystem, cap: int = DEFAULT_CAP) -> dict[BasisString, RealAmplitude | CyclotomicValue]:
+    """Exact amplitudes of every reachable output in one sweep over 2^h paths:
+    RealAmplitudes for a z2 phase, CyclotomicValues for a mixed phase.
 
     Outputs with no admissible path at all are omitted; a reachable
-    output whose counts cancel still appears, with gap 0.
+    output whose terms cancel still appears, with the zero value.
     """
+    h = system.num_path_vars
+    table = _tally(h, system.outputs, system.phase, None, cap)
     return {
-        bits: RealAmplitude(pair.gap, pair.h)
-        for bits, pair in count_all(system, cap).items()
-        if pair.total > 0
+        index_to_bits(i, system.num_qubits): (
+            RealAmplitude(row[0] - row[1], h) if len(row) == 2
+            else CyclotomicValue(_omega_coeffs(row), h)
+        )
+        for i, row in enumerate(table.tolist())
+        if any(row)
     }

@@ -9,16 +9,20 @@ Monomials are stored as integer bitmasks (bit i set means variable i is
 a factor). The empty mask is the constant monomial 1; the empty
 polynomial is 0. Rendering and parsing use 1-based variable names such
 as ``x1`` and graded lexicographic term order, e.g. ``x3 + x2*x4``.
+
+MixedPhase, a sum of (coefficient mod 8, Z2 indicator) terms, is the
+phase of a mixed-mode path sum; a z2 phase f is the mixed phase 4*f.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["GF2Poly", "parse_poly"]
+__all__ = ["GF2Poly", "MixedPhase", "parse_poly"]
 
 
 def _mask_vars(mask: int) -> Iterator[int]:
@@ -257,3 +261,105 @@ def parse_poly(text: str) -> GF2Poly:
             mask |= 1 << int(match.group(1))
         masks.append(mask)
     return GF2Poly(masks)
+
+
+@dataclass(frozen=True)
+class MixedPhase:
+    """A phase polynomial: sum of (coefficient mod 8, Z2 indicator) terms.
+
+    Terms with coefficient 0 or identically-zero indicator are dropped
+    at construction. The term list is otherwise kept as given; use
+    canonicalize() for a form with unique monomial indicators.
+    """
+
+    terms: tuple[tuple[int, GF2Poly], ...] = ()
+
+    def __post_init__(self) -> None:
+        kept = []
+        for coeff, indicator in self.terms:
+            coeff %= 8
+            if coeff and indicator:
+                kept.append((coeff, indicator))
+        object.__setattr__(self, "terms", tuple(kept))
+
+    def evaluate(self, assignment: Mapping[int, int]) -> int:
+        return sum(c * f.evaluate(assignment) for c, f in self.terms) % 8
+
+    def evaluate_mask(self, point: int) -> int:
+        return sum(c * f.evaluate_mask(point) for c, f in self.terms) % 8
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """Phase mod 8 at many packed points; returns a uint8 array.
+
+        Accumulates in uint8: wraparound mod 256 preserves values mod 8.
+        """
+        pts = np.asarray(points, dtype=np.uint64)
+        acc = np.zeros(pts.shape, dtype=np.uint8)
+        for coeff, indicator in self.terms:
+            acc += np.uint8(coeff) * indicator.values(pts)
+        return acc & np.uint8(7)
+
+    def support(self) -> frozenset[int]:
+        out: frozenset[int] = frozenset()
+        for _, indicator in self.terms:
+            out |= indicator.support()
+        return out
+
+    @property
+    def degree(self) -> int:
+        return max((f.degree for _, f in self.terms), default=0)
+
+    def substitute(self, var: int, replacement: GF2Poly) -> MixedPhase:
+        return MixedPhase(
+            tuple((c, f.substitute(var, replacement)) for c, f in self.terms)
+        )
+
+    def canonicalize(self) -> MixedPhase:
+        """Rewrite as a Z8-combination of distinct monomials, sorted.
+
+        XORs inside indicators are expanded multilinearly using
+        1_[f xor g] = 1_[f] + 1_[g] - 2 * 1_[f] * 1_[g] over the
+        integers, reduced mod 8 at every step. Like terms merge and
+        cancel, so equal phase functions get equal canonical forms.
+        Indicators built from XORs alone stay at degree <= 2, but a
+        coefficient applied to an XOR of three or more monomials can
+        leave genuine degree-3 terms (coefficient 4); those are
+        preserved, never truncated.
+        """
+        acc: dict[int, int] = {}
+        for coeff, indicator in self.terms:
+            expansion = _xor_to_z8(sorted(indicator.masks, key=_term_key))
+            for mask, weight in expansion.items():
+                acc[mask] = (acc.get(mask, 0) + coeff * weight) % 8
+        kept = sorted(
+            ((mask, w) for mask, w in acc.items() if w), key=lambda kv: _term_key(kv[0])
+        )
+        return MixedPhase(
+            tuple((w, GF2Poly((mask,))) for mask, w in kept)
+        )
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(f"{c}*({f})" for c, f in self.terms)
+
+
+def _xor_to_z8(masks: Sequence[int]) -> dict[int, int]:
+    """Multilinear Z8 expansion of the XOR of the given monomials."""
+    if not masks:
+        return {}
+    if len(masks) == 1:
+        return {masks[0]: 1}
+    mid = len(masks) // 2
+    left = _xor_to_z8(masks[:mid])
+    right = _xor_to_z8(masks[mid:])
+    out: dict[int, int] = {}
+    for mask, weight in left.items():
+        out[mask] = (out.get(mask, 0) + weight) % 8
+    for mask, weight in right.items():
+        out[mask] = (out.get(mask, 0) + weight) % 8
+    for m1, w1 in left.items():
+        for m2, w2 in right.items():
+            mask = m1 | m2
+            out[mask] = (out.get(mask, 0) - 2 * w1 * w2) % 8
+    return {mask: w for mask, w in out.items() if w}

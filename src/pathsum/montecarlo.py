@@ -6,6 +6,9 @@ amplitude. The estimator is unbiased but its per-sample variance grows
 like 2^h for amplitudes of order one, so the standard error at fixed
 sample count doubles roughly every four Hadamards: an exponential wall
 that the exact counting kernel does not hit.
+
+Samples are drawn in blocks of at most 2^20, and only the counts of +1
+and -1 scores are kept, so memory does not grow with the sample count.
 """
 
 from __future__ import annotations
@@ -17,11 +20,13 @@ from typing import Sequence
 import numpy as np
 
 from .compile_z2 import PathSystem
-from .counting import _check_packed, _pack, _select
+from .counting import _check_packed, _pack, _require_z2, _select
 
 __all__ = ["GENERATOR", "SampleEstimate", "estimate_amplitude"]
 
 GENERATOR = "numpy.random.default_rng (PCG64)"
+
+_SAMPLE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,7 @@ def estimate_amplitude(
     deviation (ddof=1) divided by sqrt(num_samples). Systems beyond
     the 63-variable packed-path limit raise CapExceededError.
     """
+    _require_z2(system)
     if num_samples < 2:
         raise ValueError("need at least two samples for a standard error")
     if len(output_bits) != system.num_qubits:
@@ -54,10 +60,16 @@ def estimate_amplitude(
     h = system.num_path_vars
     _check_packed(h)
     rng = np.random.default_rng(seed)
-    draws = _pack(rng.integers(0, 1 << h, size=num_samples, dtype=np.uint64))
-    selected = _select(system.outputs, b, draws)
-    signs = np.where(system.phase.values(draws), -1.0, 1.0)
-    scores = np.where(selected, math.sqrt(2.0 ** h) * signs, 0.0)
-    estimate = float(scores.mean())
-    std_error = float(scores.std(ddof=1) / math.sqrt(num_samples))
+    # Each score is 0 or +-sqrt(2^h): the counts of +1 and -1 hits fix both statistics.
+    hits = odd = 0
+    for start in range(0, num_samples, _SAMPLE_BLOCK):
+        size = min(_SAMPLE_BLOCK, num_samples - start)
+        draws = _pack(rng.integers(0, 1 << h, size=size, dtype=np.uint64))
+        draws = draws[_select(system.outputs, b, draws)]
+        hits += draws.size
+        odd += int(np.count_nonzero(system.phase.values(draws)))
+    gap, n = hits - 2 * odd, num_samples
+    estimate = math.sqrt(2.0 ** h) * gap / n
+    # ddof=1 variance: 2^h * (n * hits - gap^2) / (n * (n - 1)), exact up to the last division.
+    std_error = math.sqrt(2.0 ** h * (n * hits - gap * gap) / (n * (n - 1)) / n)
     return SampleEstimate(estimate, std_error, num_samples, h)
