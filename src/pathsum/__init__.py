@@ -36,9 +36,12 @@ from .circuit import (
 from .compile_z2 import (
     BoundReport,
     BoundViolationError,
+    MixedSystem,
     PathSystem,
+    Reduced,
     compile_circuit,
     compile_mixed,
+    eliminate,
     normalize,
     path_count_check,
 )
@@ -49,19 +52,14 @@ from .counting import (
     CyclotomicValue,
     RealAmplitude,
     amplitude,
+    amplitude_mixed,
     count,
     count_all,
+    cyclotomic_amplitude,
     distribution,
+    distribution_mixed,
 )
 from .gf2poly import GF2Poly, MixedPhase, parse_poly
-from .mixed import (
-    MixedSystem,
-    Reduced,
-    amplitude_mixed,
-    cyclotomic_amplitude,
-    distribution_mixed,
-    eliminate,
-)
 from .montecarlo import GENERATOR, SampleEstimate, estimate_amplitude
 from .refsim import MAX_QUBITS, amplitude_ref, simulate
 

@@ -283,10 +283,6 @@ def invert(circuit: Circuit) -> Circuit:
     return Circuit(circuit.num_qubits, tuple(inverted), circuit.mode)
 
 
-def _shift_gate(gate: Gate, offset: int) -> Gate:
-    return Gate(gate.kind, tuple(q + offset for q in gate.qubits), gate.power)
-
-
 def decision_transform(circuit: Circuit, answer_qubit: int = 0) -> Circuit:
     """Map a circuit computing f into one whose amplitude decides f(a) = 1.
 

@@ -3,7 +3,8 @@
 Subcommands cover the whole pipeline: parse, compile, amplitude,
 distribution, decision, sign, verify, sample, and stats. Exit codes:
 0 success, 1 usage or input error, 2 verification mismatch,
-3 enumeration cap or the 63-variable packed-path limit exceeded.
+3 enumeration cap, the 63-variable packed-path limit or the 2^30
+sample limit exceeded.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .circuit import (
     sign_transform,
 )
 from .compile_z2 import BoundViolationError, compile_circuit, compile_mixed, normalize, path_count_check
-from .counting import DEFAULT_CAP, CapExceededError, amplitude, distribution
-from .mixed import cyclotomic_amplitude
+from .counting import DEFAULT_CAP, CapExceededError, amplitude, cyclotomic_amplitude, distribution
 from .montecarlo import GENERATOR, estimate_amplitude
 from .refsim import MAX_QUBITS, simulate
 from . import __version__
@@ -229,6 +229,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--pairs and --trials must be at least 1")
     rng = np.random.default_rng(args.seed)
     if args.circuit == "random":
+        if not 1 <= args.n <= MAX_QUBITS:
+            raise ValueError(f"--n must be 1 to {MAX_QUBITS} (the dense simulator's {MAX_QUBITS}-qubit limit)")
         mode = Mode(args.mode)
         circuits = [
             random_circuit(
@@ -342,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = add("sample", _cmd_sample, "Monte Carlo amplitude estimate over uniform paths")
     sub.add_argument("--in", dest="input", required=True, help="input basis string")
     sub.add_argument("--out", dest="output", required=True, help="output basis string")
-    sub.add_argument("--samples", type=int, default=4096)
+    sub.add_argument("--samples", type=int, default=4096, help="uniform path draws, at most 2^30")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--cap", type=int, default=DEFAULT_CAP, help="print the exact value when h <= cap")
     sub.add_argument("--normalize", action="store_true")

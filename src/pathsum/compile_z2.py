@@ -10,6 +10,11 @@ The wires are then the output system B. compile_circuit XORs the
 indicators into one Z2 phase polynomial, so the amplitude counts
 solutions of B(x) = b split by phase parity; compile_mixed keeps the
 terms as a MixedPhase. Both return a PathSystem.
+
+eliminate is the reduce layer for affine outputs (every mixed-mode
+system): Gaussian elimination over Z2 either refutes B(x) = b, making
+the amplitude exactly zero, or substitutes the pivot variables into
+the phase, leaving free variables for the counting kernel.
 """
 
 from __future__ import annotations
@@ -27,14 +32,17 @@ from .circuit import (
     format_bits,
     parse_bits,
 )
-from .gf2poly import GF2Poly, MixedPhase, parse_poly
+from .gf2poly import GF2Poly, MixedPhase, _mask_vars, parse_poly
 
 __all__ = [
     "PathSystem",
+    "MixedSystem",
+    "Reduced",
     "BoundReport",
     "BoundViolationError",
     "compile_circuit",
     "compile_mixed",
+    "eliminate",
     "normalize",
     "path_count_check",
 ]
@@ -84,6 +92,59 @@ class PathSystem:
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
+
+
+MixedSystem = PathSystem
+
+
+@dataclass(frozen=True)
+class Reduced:
+    """Result of eliminating the output constraints: the surviving free
+    variables and the phase with all pivot variables substituted away."""
+
+    free_vars: tuple[int, ...]
+    phase: GF2Poly | MixedPhase
+
+
+def eliminate(system: PathSystem, output_bits: Sequence[int]) -> Reduced | None:
+    """Solve the affine system B(x) = b by Gaussian elimination over Z2.
+
+    Returns None when the system is inconsistent (the amplitude is then
+    exactly zero). Otherwise each pivot variable is expressed in the
+    free variables and substituted into every phase indicator.
+    """
+    if len(output_bits) != system.num_qubits:
+        raise ValueError("output length must match the qubit count")
+    b = tuple(bit & 1 for bit in output_bits)
+    pivots: dict[int, tuple[int, int]] = {}
+    for poly, bit in zip(system.outputs, b):
+        if poly.degree > 1:
+            raise ValueError("output constraints must be affine")
+        # Affine: distinct one-variable monomials, plus 0 for the constant 1.
+        mask, rhs = sum(poly.masks), bit ^ (0 in poly.masks)
+        for var, (pmask, prhs) in pivots.items():
+            if mask >> var & 1:
+                mask ^= pmask
+                rhs ^= prhs
+        if mask == 0:
+            if rhs:
+                return None
+            continue
+        var = (mask & -mask).bit_length() - 1
+        for other, (omask, orhs) in list(pivots.items()):
+            if omask >> var & 1:
+                pivots[other] = (omask ^ mask, orhs ^ rhs)
+        pivots[var] = (mask, rhs)
+    free_vars = tuple(
+        v for v in range(1, system.num_path_vars + 1) if v not in pivots
+    )
+    phase = system.phase
+    for var, (mask, rhs) in pivots.items():
+        replacement = GF2Poly(
+            [1 << w for w in _mask_vars(mask ^ (1 << var))] + ([0] if rhs else [])
+        )
+        phase = phase.substitute(var, replacement)
+    return Reduced(free_vars, phase)
 
 
 def _sweep(circuit: Circuit, input_bits: Sequence[int]) -> tuple[int, tuple[GF2Poly, ...], list, BasisString]:

@@ -4,14 +4,16 @@ For a compiled system with h path variables, the transition amplitude
 to output b is (#(0) - #(1)) / sqrt(2^h) where #(k) counts the
 assignments x with B(x) = b and phase(x) = k. A mixed-mode phase is
 tallied mod 8 instead, giving CyclotomicValues. distribution serves
-both modes; count, count_all and amplitude are z2-mode only (mixed.py
-eliminates before it tallies one mixed amplitude).
+both modes; count, count_all and amplitude are z2-mode only, and
+amplitude_mixed tallies the free variables that eliminate leaves.
 
-The kernel, _tally, packs the 2^k assignments into uint64 words (x_i at
-bit i, so at most 63 variables) and tallies them by output and phase
-value in fixed-size blocks, folding each block into a running sum so
-memory stays bounded; blocks can run on a thread pool sized by the
-PATHSUM_THREADS environment variable.
+_block_tally owns the packed-path format: it packs path indices into
+uint64 words (x_i at bit i, so at most 63 variables) and tallies them
+by output and phase value. _tally feeds it all 2^k indices in
+fixed-size blocks, folding each block into a running sum so memory
+stays bounded; blocks can run on a thread pool sized by the
+PATHSUM_THREADS environment variable. The Monte Carlo sampler feeds it
+random draws instead.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuit import BasisString, index_to_bits
-from .compile_z2 import PathSystem
-from .gf2poly import GF2Poly
+from .circuit import BasisString, Circuit, index_to_bits
+from .compile_z2 import PathSystem, compile_mixed, eliminate
+from .gf2poly import GF2Poly, MixedPhase, _mask_vars
 
 __all__ = [
     "DEFAULT_CAP",
@@ -40,6 +42,9 @@ __all__ = [
     "count_all",
     "amplitude",
     "distribution",
+    "amplitude_mixed",
+    "cyclotomic_amplitude",
+    "distribution_mixed",
 ]
 
 DEFAULT_CAP = 30
@@ -84,24 +89,35 @@ def _worker_count() -> int:
     return 1
 
 
-def _pack(indices: np.ndarray) -> np.ndarray:
-    """Pack uint64 path indices in place: x_i at bit i, since variables are 1-based."""
-    indices <<= np.uint64(1)
-    return indices
+def _block_tally(
+    points: np.ndarray, outputs: Sequence[GF2Poly], phase: GF2Poly | MixedPhase, target: Sequence[int] | None
+) -> np.ndarray:
+    """Count the paths with the given uint64 indices by output and phase value.
+
+    Columns are phase values: mod 2 for a GF2Poly phase, mod 8 for a
+    MixedPhase. With a target basis string the one row counts the paths
+    whose outputs equal it; with None there is one row per output
+    index, qubit j being bit j of the index.
+    """
+    points <<= np.uint64(1)  # packed in place: x_i at bit i, since variables are 1-based
+    if target:
+        keep = np.ones(points.shape, dtype=bool)
+        for poly, bit in zip(outputs, target):
+            keep &= poly.values(points) == bool(bit)
+        points = points[keep]
+    modulus = 2 if isinstance(phase, GF2Poly) else 8
+    keyed = outputs if target is None else ()
+    shift = modulus.bit_length() - 1
+    key = phase.values(points).astype(np.intp)
+    for j, poly in enumerate(keyed):
+        key |= poly.values(points).astype(np.intp) << (j + shift)
+    return np.bincount(key, minlength=modulus << len(keyed)).reshape(-1, modulus)
 
 
-def _select(outputs: Sequence[GF2Poly], target: Sequence[int], points: np.ndarray) -> np.ndarray:
-    """Mask of the packed points whose outputs equal the target bits."""
-    keep = np.ones(points.shape, dtype=bool)
-    for poly, bit in zip(outputs, target):
-        keep &= poly.values(points) == bool(bit)
-    return keep
-
-
-def _fold(k: int, shape: tuple[int, int], work: Callable[[int, int], np.ndarray]) -> np.ndarray:
+def _fold(k: int, work: Callable[[int, int], np.ndarray]) -> np.ndarray:
     """Sum the tables work(start, stop) over the blocks of 2^k paths as
     they finish; a thread pool keeps at most two blocks per worker in flight."""
-    total = np.zeros(shape, dtype=np.int64)
+    total = 0  # the first block's table, then summed in place
     step = 1 << min(k, _BLOCK_BITS)
     spans = ((start, start + step) for start in range(0, 1 << k, step))
     workers = _worker_count()
@@ -121,32 +137,18 @@ def _fold(k: int, shape: tuple[int, int], work: Callable[[int, int], np.ndarray]
 
 
 def _tally(k: int, outputs: Sequence[GF2Poly], phase, target: Sequence[int] | None, cap: int) -> np.ndarray:
-    """Count the 2^k packed paths by output and by phase value.
-
-    Columns are phase values: mod 2 for a GF2Poly phase, mod 8 for a
-    MixedPhase. With a target basis string the one row counts the paths
-    whose outputs equal it; with None there is one row per output
-    index, qubit j being bit j of the index.
-    """
+    """The _block_tally table of all 2^k paths."""
     _check_cap(k, cap)
-    modulus = 2 if isinstance(phase, GF2Poly) else 8
     keyed = outputs if target is None else ()
     if len(keyed) > _MAX_OUTPUT_QUBITS:
         raise CapExceededError(
             f"full distribution over {len(keyed)} qubits exceeds the {_MAX_OUTPUT_QUBITS}-qubit cap"
         )
-    shift = modulus.bit_length() - 1
 
     def work(start: int, stop: int) -> np.ndarray:
-        points = _pack(np.arange(start, stop, dtype=np.uint64))
-        if target:
-            points = points[_select(outputs, target, points)]
-        key = phase.values(points).astype(np.intp)
-        for j, poly in enumerate(keyed):
-            key |= poly.values(points).astype(np.intp) << (j + shift)
-        return np.bincount(key, minlength=modulus << len(keyed)).reshape(-1, modulus)
+        return _block_tally(np.arange(start, stop, dtype=np.uint64), outputs, phase, target)
 
-    return _fold(k, (1 << len(keyed), modulus), work)
+    return _fold(k, work)
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,18 @@ class CountPair:
         return self.count0 + self.count1
 
 
+_OMEGA_POWERS = tuple(complex(math.cos(math.pi / 4), math.sin(math.pi / 4)) ** k for k in range(4))
+
+
+def _scaled_sum(coeffs: Sequence[int], weights: Sequence, half_power: int) -> float | complex:
+    """sum(c * w) / sqrt(2^half_power) at any half_power: each integer c is
+    first divided exactly by 2^(half_power // 2), so no float 2^half_power
+    overflows, and the power-of-two step leaves every other bit unchanged."""
+    shift = 1 << half_power // 2
+    total = sum(c / shift * w for c, w in zip(coeffs, weights))
+    return total / math.sqrt(2) if half_power % 2 else total
+
+
 @dataclass(frozen=True)
 class RealAmplitude:
     """Exact amplitude gap / sqrt(2^half_power) with integer numerator."""
@@ -174,7 +188,7 @@ class RealAmplitude:
     half_power: int
 
     def as_float(self) -> float:
-        return self.gap / math.sqrt(2.0 ** self.half_power)
+        return _scaled_sum((self.gap,), (1,), self.half_power)
 
     def __str__(self) -> str:
         return f"{self.gap}/2^({self.half_power}/2)"
@@ -197,9 +211,7 @@ class CyclotomicValue:
         return self.coeffs == (0, 0, 0, 0)
 
     def as_complex(self) -> complex:
-        omega = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
-        total = sum(c * omega ** k for k, c in enumerate(self.coeffs))
-        return total / math.sqrt(2.0 ** self.half_power)
+        return _scaled_sum(self.coeffs, _OMEGA_POWERS, self.half_power)
 
     def mag_squared(self) -> tuple[int, int]:
         """|numerator|^2 as (a, b) meaning a + b*sqrt(2), exactly."""
@@ -217,9 +229,12 @@ class CyclotomicValue:
         return f"({' '.join(parts)})/2^({self.half_power}/2)"
 
 
-def _omega_coeffs(tallies: Sequence[int]) -> tuple[int, int, int, int]:
-    """Coefficients of 1, w, w^2, w^3 from tallies of the phase mod 8 (w^4 = -1)."""
-    return tuple(int(tallies[k] - tallies[k + 4]) for k in range(4))
+def _value(row: Sequence[int], h: int) -> RealAmplitude | CyclotomicValue:
+    """The amplitude of one tally row: a row of width 2 counts phase
+    parities, a row of width 8 counts the phase mod 8 (w^4 = -1)."""
+    if len(row) == 2:
+        return RealAmplitude(row[0] - row[1], h)
+    return CyclotomicValue(tuple(row[k] - row[k + 4] for k in range(4)), h)
 
 
 def _require_z2(system: PathSystem) -> None:
@@ -265,10 +280,60 @@ def distribution(system: PathSystem, cap: int = DEFAULT_CAP) -> dict[BasisString
     h = system.num_path_vars
     table = _tally(h, system.outputs, system.phase, None, cap)
     return {
-        index_to_bits(i, system.num_qubits): (
-            RealAmplitude(row[0] - row[1], h) if len(row) == 2
-            else CyclotomicValue(_omega_coeffs(row), h)
-        )
+        index_to_bits(i, system.num_qubits): _value(row, h)
         for i, row in enumerate(table.tolist())
         if any(row)
     }
+
+
+distribution_mixed = distribution
+
+
+def amplitude_mixed(
+    phase: MixedPhase,
+    free_vars: Sequence[int],
+    num_hadamards: int,
+    cap: int = DEFAULT_CAP,
+) -> CyclotomicValue:
+    """Sum omega^phase(y) over all assignments of the free variables.
+
+    The result is normalized by sqrt(2^num_hadamards), the total
+    Hadamard count of the originating circuit, regardless of how many
+    variables survived elimination.
+    """
+    if not isinstance(phase, MixedPhase):
+        raise ValueError("amplitude_mixed takes a mixed (mod 8) phase, not a z2 phase polynomial")
+    order = tuple(free_vars)
+    extra = phase.support() - set(order)
+    if extra:
+        raise ValueError(
+            f"phase references non-free variables {sorted(extra)}"
+        )
+    # The kernel enumerates variables 1..k, so free variable order[i] becomes x_(i+1).
+    position = {var: i + 1 for i, var in enumerate(order)}
+    local = MixedPhase(tuple(
+        (c, GF2Poly(sum(1 << position[v] for v in _mask_vars(m)) for m in f.masks))
+        for c, f in phase.terms
+    ))
+    (row,) = _tally(len(order), (), local, (), cap).tolist()
+    return _value(row, num_hadamards)
+
+
+def cyclotomic_amplitude(
+    circuit: Circuit,
+    input_bits: Sequence[int],
+    output_bits: Sequence[int],
+    cap: int = DEFAULT_CAP,
+) -> CyclotomicValue:
+    """Exact transition amplitude of a mixed-mode circuit.
+
+    Compiles, eliminates the output constraints, and enumerates the
+    free variables. Inconsistent constraints give the exact zero value.
+    """
+    system = compile_mixed(circuit, input_bits)
+    reduced = eliminate(system, output_bits)
+    if reduced is None:
+        return CyclotomicValue.zero(system.num_path_vars)
+    return amplitude_mixed(
+        reduced.phase, reduced.free_vars, system.num_path_vars, cap
+    )
