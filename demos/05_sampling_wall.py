@@ -4,8 +4,11 @@ The Monte Carlo estimator is unbiased, but for circuits whose amplitude
 stays constant while the Hadamard count h grows, the per-sample
 variance scales like 2^(h/2): the standard error at fixed sample count
 doubles every four Hadamards, so pinning the amplitude down needs a
-number of samples exponential in h. The exact kernel pays 2^h once,
-deterministically, and returns an integer answer.
+number of samples exponential in h. The exact kernel pays at most 2^h
+once, deterministically, and returns an integer answer. That is its
+worst case: count first sums out what the path-sum rules can, and on
+the identity pattern below they leave 0 free variables, so one path is
+enumerated whatever h is.
 """
 
 from __future__ import annotations

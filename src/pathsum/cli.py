@@ -40,6 +40,8 @@ from . import __version__
 
 __all__ = ["main"]
 
+MAX_RANDOM_GATES = 1000
+
 
 def _read_circuit(path: str) -> Circuit:
     with open(path, "r", encoding="utf-8") as handle:
@@ -141,6 +143,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise ValueError("sample supports z2-mode circuits only")
     input_bits = _bits_arg(args.input, circuit.num_qubits, "--in")
     output_bits = _bits_arg(args.output, circuit.num_qubits, "--out")
+    _check_seed(args.seed)
     system = compile_circuit(circuit, input_bits)
     result = estimate_amplitude(system, output_bits, args.samples, args.seed)
     print(f"estimate = {result.estimate:.12f}")
@@ -187,6 +190,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+
+
 def _draw_bits(rng: np.random.Generator, num_qubits: int) -> BasisString:
     return tuple(int(bit) for bit in rng.integers(0, 2, size=num_qubits))
 
@@ -227,10 +235,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--tol must be a finite non-negative number, got {args.tol}")
     if args.pairs < 1 or args.trials < 1:
         raise ValueError("--pairs and --trials must be at least 1")
+    _check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     if args.circuit == "random":
         if not 1 <= args.n <= MAX_QUBITS:
             raise ValueError(f"--n must be 1 to {MAX_QUBITS} (the dense simulator's {MAX_QUBITS}-qubit limit)")
+        if not 1 <= args.gates <= MAX_RANDOM_GATES:
+            raise ValueError(f"--gates must be 1 to {MAX_RANDOM_GATES}, got {args.gates}")
         mode = Mode(args.mode)
         circuits = [
             random_circuit(
@@ -335,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--pairs", type=int, default=4, help="basis pairs per circuit")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--n", type=int, default=4, help="qubits for random circuits")
-    sub.add_argument("--gates", type=int, default=20, help="gates per random circuit")
+    sub.add_argument("--gates", type=int, default=20, help=f"gates per random circuit, 1 to {MAX_RANDOM_GATES}")
     sub.add_argument("--mode", choices=("z2", "mixed"), default="z2")
     sub.add_argument("--exhaustive", action="store_true", help="check all basis pairs")
     sub.add_argument("--cap", type=int, default=DEFAULT_CAP, help=_CAP_HELP)

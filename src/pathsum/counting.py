@@ -5,7 +5,15 @@ to output b is (#(0) - #(1)) / sqrt(2^h) where #(k) counts the
 assignments x with B(x) = b and phase(x) = k. A mixed-mode phase is
 tallied mod 8 instead, giving CyclotomicValues. distribution serves
 both modes; count, count_all and amplitude are z2-mode only, and
-amplitude_mixed tallies the free variables that eliminate leaves.
+amplitude_mixed sums over the free variables that eliminate leaves.
+
+count (for affine outputs) and amplitude_mixed reduce before they
+enumerate: _reduce applies the path-sum rules Elim and [HH] (Amy,
+arXiv:1805.06908) to the canonical Z8 phase, a z2 phase f being 4*f,
+and only the variables it leaves are tallied, the row scaled by the
+powers of 2 it summed out. The result is exact and equal to the
+unreduced tally. The cap bounds the variables passed in, h for count
+and the free variables for amplitude_mixed, before any reduction.
 
 _block_tally owns the packed-path format: it packs path indices into
 uint64 words (x_i at bit i, so at most 63 variables) and tallies them
@@ -30,7 +38,7 @@ import numpy as np
 
 from .circuit import BasisString, Circuit, index_to_bits
 from .compile_z2 import PathSystem, compile_mixed, eliminate
-from .gf2poly import GF2Poly, MixedPhase, _mask_vars
+from .gf2poly import GF2Poly, MixedPhase, _add_xor, _mask_vars
 
 __all__ = [
     "DEFAULT_CAP",
@@ -151,6 +159,68 @@ def _tally(k: int, outputs: Sequence[GF2Poly], phase, target: Sequence[int] | No
     return _fold(k, work)
 
 
+def _reduce(phase: MixedPhase, free_vars: Sequence[int]) -> tuple[int, dict[int, int], tuple[int, ...]] | None:
+    """Sum free variables out of sum_y w^phase(y) exactly, by the path-sum
+    rules of Amy (arXiv:1805.06908) on the canonical Z8 phase, to a fixed point.
+
+    [HH]: a variable x whose terms are all 4*x*m, each m the constant 1
+    or one variable, sums to 2*[g = 0] with g the XOR of the m. A factor
+    2 is recorded; g = 1 makes the whole sum zero; otherwise g = 0 is
+    solved for its lowest variable y, which is substituted into the
+    other terms and drops out. Elim, a variable in no term, is the case
+    g = 0.
+
+    Returns the number of doublings, the residual {monomial mask:
+    coefficient mod 8} terms and the free variables left, in the order
+    given; or None when the sum is exactly zero.
+    """
+    terms = {mask: c for c, f in phase.canonicalize().terms for mask in f.masks}
+    free = list(free_vars)
+    doublings = 0
+    while True:
+        blocked = 0
+        for mask, c in terms.items():
+            if c != 4 or mask.bit_count() > 2:
+                blocked |= mask
+        x = next((v for v in free if not blocked >> v & 1), None)
+        if x is None:
+            return doublings, terms, tuple(free)
+        free.remove(x)
+        doublings += 1
+        bit, g, constant = 1 << x, 0, False  # g: the XOR of its variables, plus the constant
+        for mask in [m for m in terms if m & bit]:
+            del terms[mask]
+            if mask == bit:
+                constant = True
+            else:
+                g |= mask ^ bit
+        if not g and constant:
+            return None
+        if g:
+            y_bit = g & -g
+            rest = [1 << v for v in _mask_vars(g ^ y_bit)] + [0] * constant  # y = XOR of rest
+            for mask in [m for m in terms if m & y_bit]:
+                c = terms.pop(mask)
+                _add_xor(terms, c, GF2Poly(mask ^ y_bit | r for r in rest).masks)
+            free.remove(y_bit.bit_length() - 1)
+
+
+def _reduced_row(phase: MixedPhase, free_vars: Sequence[int], cap: int) -> list[int]:
+    """The mod-8 tally row of sum_y w^phase(y) over the free variables:
+    _reduce, then the remaining variables relabelled to 1..k, tallied
+    and scaled by 2^doublings. Exact, so its value equals the unreduced one."""
+    reduced = _reduce(phase, free_vars)
+    if reduced is None:
+        return [0] * 8
+    doublings, terms, rest = reduced
+    position = {var: i + 1 for i, var in enumerate(rest)}
+    local = MixedPhase(tuple(
+        (c, GF2Poly((sum(1 << position[v] for v in _mask_vars(mask)),))) for mask, c in terms.items()
+    ))
+    (row,) = _tally(len(rest), (), local, (), cap).tolist()
+    return [n << doublings for n in row]
+
+
 @dataclass(frozen=True)
 class CountPair:
     """Solution counts of B(x) = b split by phase parity, with h recorded."""
@@ -243,14 +313,29 @@ def _require_z2(system: PathSystem) -> None:
 
 
 def count(system: PathSystem, output_bits: Sequence[int], cap: int = DEFAULT_CAP) -> CountPair:
-    """Count solutions of B(x) = b with phase 0 and with phase 1."""
+    """Count solutions of B(x) = b with phase 0 and with phase 1.
+
+    Affine outputs (every output of a normalized H/TOFFOLI circuit) are
+    eliminated and the rest summed out by _reduce: there are then
+    2^free solutions, and the reduced sum of (-1)^phase is the gap.
+    Other outputs filter a sweep over all 2^h paths. Either way the cap
+    bounds h.
+    """
     _require_z2(system)
     if len(output_bits) != system.num_qubits:
         raise ValueError("output length must match the qubit count")
     b = tuple(bit & 1 for bit in output_bits)
     h = system.num_path_vars
-    (row,) = _tally(h, system.outputs, system.phase, b, cap).tolist()
-    return CountPair(row[0], row[1], h)
+    if any(poly.degree > 1 for poly in system.outputs):
+        (row,) = _tally(h, system.outputs, system.phase, b, cap).tolist()
+        return CountPair(row[0], row[1], h)
+    _check_cap(h, cap)
+    reduced = eliminate(system, b)
+    if reduced is None:
+        return CountPair(0, 0, h)
+    row = _reduced_row(MixedPhase(((4, reduced.phase),)), reduced.free_vars, cap)
+    gap, total = row[0] - row[4], 1 << len(reduced.free_vars)
+    return CountPair((total + gap) // 2, (total - gap) // 2, h)
 
 
 def count_all(system: PathSystem, cap: int = DEFAULT_CAP) -> dict[BasisString, CountPair]:
@@ -304,19 +389,13 @@ def amplitude_mixed(
     if not isinstance(phase, MixedPhase):
         raise ValueError("amplitude_mixed takes a mixed (mod 8) phase, not a z2 phase polynomial")
     order = tuple(free_vars)
+    _check_cap(len(order), cap)
     extra = phase.support() - set(order)
     if extra:
         raise ValueError(
             f"phase references non-free variables {sorted(extra)}"
         )
-    # The kernel enumerates variables 1..k, so free variable order[i] becomes x_(i+1).
-    position = {var: i + 1 for i, var in enumerate(order)}
-    local = MixedPhase(tuple(
-        (c, GF2Poly(sum(1 << position[v] for v in _mask_vars(m)) for m in f.masks))
-        for c, f in phase.terms
-    ))
-    (row,) = _tally(len(order), (), local, (), cap).tolist()
-    return _value(row, num_hadamards)
+    return _value(_reduced_row(phase, order, cap), num_hadamards)
 
 
 def cyclotomic_amplitude(

@@ -319,7 +319,8 @@ class MixedPhase:
 
         XORs inside indicators are expanded multilinearly using
         1_[f xor g] = 1_[f] + 1_[g] - 2 * 1_[f] * 1_[g] over the
-        integers, reduced mod 8 at every step. Like terms merge and
+        integers, reduced mod 8 at every step (by _add_xor, which drops
+        the products a term's coefficient sends to 0). Like terms merge and
         cancel, so equal phase functions get equal canonical forms.
         Indicators built from XORs alone stay at degree <= 2, but a
         coefficient applied to an XOR of three or more monomials can
@@ -328,12 +329,8 @@ class MixedPhase:
         """
         acc: dict[int, int] = {}
         for coeff, indicator in self.terms:
-            expansion = _xor_to_z8(sorted(indicator.masks, key=_term_key))
-            for mask, weight in expansion.items():
-                acc[mask] = (acc.get(mask, 0) + coeff * weight) % 8
-        kept = sorted(
-            ((mask, w) for mask, w in acc.items() if w), key=lambda kv: _term_key(kv[0])
-        )
+            _add_xor(acc, coeff, indicator.masks)
+        kept = sorted(acc.items(), key=lambda kv: _term_key(kv[0]))
         return MixedPhase(
             tuple((w, GF2Poly((mask,))) for mask, w in kept)
         )
@@ -344,22 +341,42 @@ class MixedPhase:
         return " + ".join(f"{c}*({f})" for c, f in self.terms)
 
 
-def _xor_to_z8(masks: Sequence[int]) -> dict[int, int]:
-    """Multilinear Z8 expansion of the XOR of the given monomials."""
-    if not masks:
-        return {}
-    if len(masks) == 1:
-        return {masks[0]: 1}
+def _add_xor(acc: dict[int, int], coeff: int, masks: Iterable[int]) -> None:
+    """Add coeff * 1_[XOR of the monomials] to acc, a {monomial mask:
+    weight mod 8} map; entries whose weight reaches 0 are removed.
+
+    coeff = 2^v * odd is nonzero mod 8, and coeff * w mod 8 depends only
+    on w mod 2^(3 - v), so the expansion is taken mod 2^(3 - v): for a
+    Hadamard's coefficient 4 only the monomials themselves survive.
+    """
+    modulus = 8 >> ((coeff & -coeff).bit_length() - 1)
+    for mask, weight in _xor_to_z8(tuple(masks), modulus).items():
+        total = (acc.get(mask, 0) + coeff * weight) % 8
+        if total:
+            acc[mask] = total
+        else:
+            acc.pop(mask, None)
+
+
+def _xor_to_z8(masks: Sequence[int], modulus: int) -> dict[int, int]:
+    """Multilinear expansion of the XOR of the given distinct monomials,
+    weights mod modulus (2, 4 or 8).
+
+    A subset S of the monomials carries (-2)^(|S|-1), so mod 2 only the
+    monomials survive and mod 4 only they and their pairs.
+    """
+    if modulus == 2 or len(masks) <= 1:
+        return dict.fromkeys(masks, 1)
     mid = len(masks) // 2
-    left = _xor_to_z8(masks[:mid])
-    right = _xor_to_z8(masks[mid:])
+    left = _xor_to_z8(masks[:mid], modulus)
+    right = _xor_to_z8(masks[mid:], modulus)
     out: dict[int, int] = {}
     for mask, weight in left.items():
-        out[mask] = (out.get(mask, 0) + weight) % 8
+        out[mask] = (out.get(mask, 0) + weight) % modulus
     for mask, weight in right.items():
-        out[mask] = (out.get(mask, 0) + weight) % 8
+        out[mask] = (out.get(mask, 0) + weight) % modulus
     for m1, w1 in left.items():
         for m2, w2 in right.items():
             mask = m1 | m2
-            out[mask] = (out.get(mask, 0) - 2 * w1 * w2) % 8
+            out[mask] = (out.get(mask, 0) - 2 * w1 * w2) % modulus
     return {mask: w for mask, w in out.items() if w}

@@ -4,7 +4,8 @@ Imports run one way (circuit, gf2poly -> compile_z2 -> counting ->
 montecarlo, cli) and only the counting kernel evaluates polynomials on
 packed paths. Amplitude values stay finite at any Hadamard count and
 match the direct float formula bit for bit below 2^1024; the sampler
-and `verify random` reject out-of-range sizes before drawing; and
+and `verify random` reject out-of-range sizes before drawing, and both
+name a negative --seed; and
 amplitude_mixed names the phase it needs when handed a z2 one.
 """
 
@@ -159,6 +160,41 @@ class TestVerifyQubitRange:
     def test_n_at_the_limit_is_accepted(self, capsys):
         code = main(["verify", "random", "--n", "20", "--trials", "1", "--pairs", "1", "--gates", "4"])
         assert code == 0
+
+
+class TestVerifyGateRange:
+    @pytest.mark.parametrize("gates", ["100000000000000000000", "1001", "0", "-3"])
+    def test_out_of_range_gates_are_rejected_before_drawing(self, gates, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a circuit for an out-of-range --gates")
+
+        monkeypatch.setattr(cli, "random_circuit", no_draw)
+        code = main(["verify", "random", "--gates", gates, "--trials", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: --gates") and str(cli.MAX_RANDOM_GATES) in err
+
+    @pytest.mark.parametrize("gates", ["1", str(cli.MAX_RANDOM_GATES)])
+    def test_gates_at_either_limit_are_accepted(self, gates, capsys):
+        code = main(["verify", "random", "--mode", "mixed", "--n", "2", "--gates", gates,
+                     "--trials", "1", "--pairs", "1"])
+        assert code == 0
+        assert "verified 1 circuit(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", str(GOLDEN_PATH), "--in", "000", "--out", "000", "--seed", "-5"],
+        ["verify", "random", "--seed", "-1"],
+        ["verify", str(GOLDEN_PATH), "--seed", "-1"],
+    ],
+)
+def test_negative_seed_is_named(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: --seed") and "Traceback" not in err
 
 
 def test_amplitude_mixed_rejects_a_z2_phase():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -372,3 +373,32 @@ def mixed_phases(draw, max_vars: int = 8, max_terms: int = 4):
 def test_canonicalize_preserves_function_property(phase):
     points = np.arange(256, dtype=np.uint64)
     assert np.array_equal(phase.values(points), phase.canonicalize().values(points))
+
+
+def _subset_expansion(phase: MixedPhase) -> dict[int, int]:
+    """c * 1_[m1 xor ... xor mk] = sum over nonempty subsets S of
+    c * (-2)^(|S|-1) * prod(S), reduced mod 8, with no pruning."""
+    acc: dict[int, int] = {}
+    for coeff, indicator in phase.terms:
+        masks = sorted(indicator.masks)
+        for size in range(1, len(masks) + 1):
+            for subset in combinations(masks, size):
+                mask = 0
+                for m in subset:
+                    mask |= m
+                acc[mask] = (acc.get(mask, 0) + coeff * (-2) ** (size - 1)) % 8
+    return {mask: w for mask, w in acc.items() if w}
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 7), st.lists(st.integers(0, 63), min_size=1, max_size=7)),
+        max_size=4,
+    )
+)
+def test_canonicalize_equals_the_full_subset_expansion(raw):
+    phase = MixedPhase(tuple((c, GF2Poly(masks)) for c, masks in raw))
+    canonical = phase.canonicalize()
+    expected = _subset_expansion(phase)
+    assert {next(iter(f.masks)): c for c, f in canonical.terms} == expected
+    assert [f.terms()[0] for _, f in canonical.terms] == list(GF2Poly(expected).terms())

@@ -1,0 +1,168 @@
+"""Differential tests of the path-sum reducer inside count and amplitude_mixed.
+
+_reduce sums variables out of the canonical Z8 phase by Elim and [HH]
+before the kernel enumerates what is left. The reduced results must
+equal, exactly, the unreduced _tally over all 2^h paths of the same
+system, and match the dense simulator.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from pathsum import (
+    Circuit,
+    CountPair,
+    Gate,
+    GF2Poly,
+    MixedPhase,
+    Mode,
+    amplitude,
+    amplitude_mixed,
+    compile_circuit,
+    compile_mixed,
+    count,
+    cyclotomic_amplitude,
+    eliminate,
+    normalize,
+    random_circuit,
+    simulate,
+)
+from pathsum import counting
+from pathsum.circuit import bits_to_index
+
+from conftest import random_bits
+
+
+def var(i: int) -> GF2Poly:
+    return GF2Poly.variable(i)
+
+
+def x(*indices: int) -> int:
+    return sum(1 << i for i in indices)
+
+
+class TestRules:
+    def test_elim_doubles_unused_variables(self):
+        assert counting._reduce(MixedPhase(), (1, 2, 3)) == (3, {}, ())
+
+    def test_hh_solves_an_affine_g(self):
+        # x1 sums to 2*[x2 + x3 = 0], so x2 becomes x3 in 1*x2.
+        phase = MixedPhase(((4, var(1) * var(2)), (4, var(1) * var(3)), (1, var(2))))
+        assert counting._reduce(phase, (1, 2, 3)) == (1, {x(3): 1}, (3,))
+        value = amplitude_mixed(phase, (1, 2, 3), 3)
+        assert value.coeffs == (2, 2, 0, 0)  # 2 * (1 + w)
+
+    def test_hh_with_a_constant_in_g(self):
+        # 4*x1*(x2 + 1): x1 sums to 2*[x2 = 1], so 2*x2*x3 becomes 2*x3.
+        phase = MixedPhase(((4, var(1) * var(2)), (4, var(1)), (2, var(2) * var(3))))
+        assert counting._reduce(phase, (1, 2, 3)) == (1, {x(3): 2}, (3,))
+
+    def test_g_equal_to_one_is_exactly_zero(self):
+        phase = MixedPhase(((4, var(1)), (1, var(2))))
+        assert counting._reduce(phase, (1, 2)) is None
+        assert amplitude_mixed(phase, (1, 2), 2).is_zero
+
+    @pytest.mark.parametrize(
+        "phase",
+        [
+            MixedPhase(((1, var(1)), (3, var(2)))),  # odd coefficients
+            MixedPhase(((2, var(1) * var(2)), (6, var(2)))),  # coefficient 2 or 6
+            MixedPhase(((4, var(1) * var(2) * var(3)),)),  # degree-3 cofactors
+        ],
+    )
+    def test_no_rule_fires(self, phase):
+        doublings, terms, rest = counting._reduce(phase, (1, 2, 3)[: len(phase.support())])
+        assert (doublings, rest) == (0, tuple(sorted(phase.support())))
+        assert terms == {next(iter(f.masks)): c for c, f in phase.canonicalize().terms}
+
+    def test_remaining_variables_keep_their_order(self):
+        phase = MixedPhase(((1, var(5)), (1, var(2))))
+        assert counting._reduce(phase, (5, 4, 2)) == (1, {x(5): 1, x(2): 1}, (5, 2))
+
+
+@pytest.fixture
+def tally_sizes(monkeypatch) -> list[int]:
+    """The k of every _tally call, i.e. log2 of the paths enumerated."""
+    sizes = []
+    tally = counting._tally
+
+    def spy(k, *args):
+        sizes.append(k)
+        return tally(k, *args)
+
+    monkeypatch.setattr(counting, "_tally", spy)
+    return sizes
+
+
+def test_hadamard_chain_enumerates_one_path(tally_sizes):
+    system = compile_circuit(Circuit(1, (Gate.h(0),) * 40, Mode.Z2), (0,))
+    pair = count(system, (0,), cap=40)
+    assert tally_sizes == [0]
+    assert pair == CountPair((1 << 38) + (1 << 19), (1 << 38) - (1 << 19), 40)
+    assert amplitude(system, (0,), cap=40).as_float() == 1.0  # H^40 = I
+
+
+def _unreduced_row(system, b) -> list[int]:
+    """The tally row of all 2^h paths that reach b, as before the rules."""
+    (row,) = counting._tally(system.num_path_vars, system.outputs, system.phase, b, 30).tolist()
+    return row
+
+
+def _draw(rng, normalized: bool) -> tuple[Circuit, Circuit, tuple[int, ...]]:
+    """A z2 circuit, normalized (affine outputs: eliminate, then the rules)
+    or not (TOFFOLI outputs take the 2^h sweep), a mixed one and an input."""
+    n = int(rng.integers(1, 5))
+    z2 = random_circuit(n, 14, Mode.Z2, rng, max_hadamards=6)
+    mixed = random_circuit(n, 24, Mode.MIXED, rng, max_hadamards=12)
+    return normalize(z2) if normalized else z2, mixed, random_bits(rng, n)
+
+
+def test_reduced_equals_unreduced_in_both_modes(monkeypatch):
+    reductions = []
+    reduce = counting._reduce
+
+    def spy(phase, free_vars):
+        result = reduce(phase, free_vars)
+        reductions.append(None if result is None else (len(free_vars), len(result[2])))
+        return result
+
+    monkeypatch.setattr(counting, "_reduce", spy)
+    rng = np.random.default_rng(2024)
+    seen = Counter()
+    for trial in range(120):
+        z2, mixed, a = _draw(rng, trial % 2 == 1)
+        system, state = compile_circuit(z2, a), simulate(z2, a)
+        mixed_system, mixed_state = compile_mixed(mixed, a), simulate(mixed, a)
+        seen["fallback"] += any(poly.degree > 1 for poly in system.outputs)
+        for _ in range(3):
+            b = random_bits(rng, len(a))
+            assert count(system, b) == CountPair(*_unreduced_row(system, b), system.num_path_vars)
+            assert abs(amplitude(system, b).as_float() - state[bits_to_index(b)]) < 1e-10
+            value = cyclotomic_amplitude(mixed, a, b)
+            assert value == counting._value(_unreduced_row(mixed_system, b), mixed_system.num_path_vars)
+            assert abs(value.as_complex() - mixed_state[bits_to_index(b)]) < 1e-10
+            seen["refuted"] += eliminate(mixed_system, b) is None
+    assert seen["refuted"] and seen["fallback"]
+    assert None in reductions, "no sum made zero by [HH]"
+    assert any(r and r[0] == r[1] > 0 for r in reductions), "no draw where the rules do not fire"
+    assert any(r and r[0] > r[1] for r in reductions), "no draw the rules shrink"
+
+
+def test_identical_under_threads(tally_sizes, monkeypatch):
+    monkeypatch.setattr(counting, "_BLOCK_BITS", 1)
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PATHSUM_THREADS", threads)
+        rng = np.random.default_rng(77)
+        run = []
+        for _ in range(60):
+            z2, mixed, a = _draw(rng, True)
+            b = random_bits(rng, len(a))
+            run.append((count(compile_circuit(z2, a), b), cyclotomic_amplitude(mixed, a, b)))
+        runs.append(run)
+    assert runs[0] == runs[1]
+    assert max(tally_sizes) > 1  # some reduced cores span several blocks
