@@ -38,6 +38,10 @@ __all__ = [
 
 BasisString = tuple[int, ...]
 
+# The most qubits a circuit file may declare; basis strings and wire lists
+# are built at this length, so a larger declaration would exhaust memory.
+MAX_DECLARED_QUBITS = 1 << 16
+
 
 class Mode(enum.Enum):
     """Which balanced gate set a circuit is written over."""
@@ -212,7 +216,8 @@ def parse_circuit(text: str) -> Circuit:
     """Parse the circuit text format.
 
     Line 1 (after comments/blanks): ``mode z2`` or ``mode mixed``.
-    Line 2: ``qubits N``. Remaining lines are gates, one per line, with
+    Line 2: ``qubits N``, N at most MAX_DECLARED_QUBITS. Remaining
+    lines are gates, one per line, with
     0-based qubit indices: ``x q``, ``h q``, ``cx control target``,
     ``ccx c1 c2 target``, ``p k q`` (mixed only, k in 0..7), and
     ``t q`` as shorthand for ``p 1 q``. ``#`` starts a comment. File
@@ -239,6 +244,10 @@ def parse_circuit(text: str) -> Circuit:
                 num_qubits = _convert(int, fields[1], "bad qubit count")
                 if num_qubits < 1:
                     raise ValueError("qubit count must be positive")
+                if num_qubits > MAX_DECLARED_QUBITS:
+                    raise ValueError(
+                        f"qubit count {num_qubits} exceeds the limit of {MAX_DECLARED_QUBITS}"
+                    )
             else:
                 if head == "t":  # t q is sugar for p 1 q
                     head, fields = "p", ["p", "1", *fields[1:]]

@@ -33,7 +33,7 @@ from .circuit import (
     sign_transform,
 )
 from .compile_z2 import BoundViolationError, compile_circuit, compile_mixed, normalize, path_count_check
-from .counting import DEFAULT_CAP, CapExceededError, amplitude, cyclotomic_amplitude, distribution
+from .counting import DEFAULT_CAP, CapExceededError, _mixed_amplitude, amplitude, distribution
 from .montecarlo import GENERATOR, estimate_amplitude
 from .refsim import MAX_QUBITS, simulate
 from . import __version__
@@ -41,6 +41,8 @@ from . import __version__
 __all__ = ["main"]
 
 MAX_RANDOM_GATES = 1000
+MAX_RANDOM_TRIALS = 1000
+MAX_VERIFY_PAIRS = 4096  # also the most pairs --exhaustive checks: 6 qubits
 
 
 def _read_circuit(path: str) -> Circuit:
@@ -107,11 +109,12 @@ def _cmd_amplitude(args: argparse.Namespace) -> int:
     circuit = _prepared(args)
     input_bits = _bits_arg(args.input, circuit.num_qubits, "--in")
     output_bits = _bits_arg(args.output, circuit.num_qubits, "--out")
+    system = _compile(circuit, input_bits)
     if circuit.mode is Mode.Z2:
-        value = amplitude(compile_circuit(circuit, input_bits), output_bits, args.cap)
+        value = amplitude(system, output_bits, args.cap)
         print(f"{value} = {value.as_float():.12f}")
     else:
-        value = cyclotomic_amplitude(circuit, input_bits, output_bits, args.cap)
+        value = _mixed_amplitude(system, output_bits, args.cap)
         print(f"{value}, w = exp(i*pi/4)")
         print(f"= {_format_complex(value.as_complex())}")
     return 0
@@ -212,13 +215,12 @@ def _verify_circuit(
     for a, b in pairs:
         if a not in states:
             states[a] = simulate(circuit, a)
+            systems[a] = _compile(circuit, a)
         expected = complex(states[a][bits_to_index(b)])
         if circuit.mode is Mode.Z2:
-            if a not in systems:
-                systems[a] = compile_circuit(circuit, a)
             got = complex(amplitude(systems[a], b, cap).as_float())
         else:
-            got = cyclotomic_amplitude(circuit, a, b, cap).as_complex()
+            got = _mixed_amplitude(systems[a], b, cap).as_complex()
         error = abs(got - expected)
         worst = max(worst, error)
         if error > tol:
@@ -233,8 +235,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # A NaN tolerance passes every pair and zero pairs check nothing: both pass vacuously.
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be a finite non-negative number, got {args.tol}")
-    if args.pairs < 1 or args.trials < 1:
-        raise ValueError("--pairs and --trials must be at least 1")
+    if not 1 <= args.pairs <= MAX_VERIFY_PAIRS:
+        raise ValueError(f"--pairs must be 1 to {MAX_VERIFY_PAIRS}, got {args.pairs}")
+    if not 1 <= args.trials <= MAX_RANDOM_TRIALS:
+        raise ValueError(f"--trials must be 1 to {MAX_RANDOM_TRIALS}, got {args.trials}")
     _check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     if args.circuit == "random":
@@ -261,7 +265,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for circuit in circuits:
         n = circuit.num_qubits
         if args.exhaustive:
-            if 1 << (2 * n) > 4096:
+            if n > 6:
                 raise ValueError(
                     "--exhaustive is limited to circuits with at most 6 qubits"
                 )
@@ -342,8 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", _cmd_verify, "cross-check path-sum amplitudes against the dense simulator",
         "circuit file, or 'random'",
     )
-    sub.add_argument("--trials", type=int, default=20, help="random circuits to draw")
-    sub.add_argument("--pairs", type=int, default=4, help="basis pairs per circuit")
+    sub.add_argument("--trials", type=int, default=20, help=f"random circuits to draw, 1 to {MAX_RANDOM_TRIALS}")
+    sub.add_argument("--pairs", type=int, default=4, help=f"basis pairs per circuit, 1 to {MAX_VERIFY_PAIRS}")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--n", type=int, default=4, help="qubits for random circuits")
     sub.add_argument("--gates", type=int, default=20, help=f"gates per random circuit, 1 to {MAX_RANDOM_GATES}")

@@ -14,7 +14,9 @@ terms as a MixedPhase. Both return a PathSystem.
 eliminate is the reduce layer for affine outputs (every mixed-mode
 system): Gaussian elimination over Z2 either refutes B(x) = b, making
 the amplitude exactly zero, or substitutes the pivot variables into
-the phase, leaving free variables for the counting kernel.
+the phase, leaving free variables for the counting kernel. It works on
+the canonical Z8 form of gf2poly (_z8, _substitute), so a mixed
+Reduced.phase is canonical.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .circuit import (
     format_bits,
     parse_bits,
 )
-from .gf2poly import GF2Poly, MixedPhase, _mask_vars, parse_poly
+from .gf2poly import GF2Poly, MixedPhase, _add_xor, _from_z8, _mask_vars, _substitute, _z8, parse_poly
 
 __all__ = [
     "PathSystem",
@@ -111,7 +113,10 @@ def eliminate(system: PathSystem, output_bits: Sequence[int]) -> Reduced | None:
 
     Returns None when the system is inconsistent (the amplitude is then
     exactly zero). Otherwise each pivot variable is expressed in the
-    free variables and substituted into every phase indicator.
+    free variables and substituted into every phase indicator, and the
+    indicators are summed into the canonical Z8 phase: a z2 phase comes
+    back as a GF2Poly, a mixed one as its canonical MixedPhase (what
+    canonicalize() returns).
     """
     if len(output_bits) != system.num_qubits:
         raise ValueError("output length must match the qubit count")
@@ -138,13 +143,21 @@ def eliminate(system: PathSystem, output_bits: Sequence[int]) -> Reduced | None:
     free_vars = tuple(
         v for v in range(1, system.num_path_vars + 1) if v not in pivots
     )
-    phase = system.phase
-    for var, (mask, rhs) in pivots.items():
-        replacement = GF2Poly(
-            [1 << w for w in _mask_vars(mask ^ (1 << var))] + ([0] if rhs else [])
-        )
-        phase = phase.substitute(var, replacement)
-    return Reduced(free_vars, phase)
+    # Each pivot is now the XOR of free variables (and 1 when rhs is set).
+    # It goes into each indicator before the indicator's XOR is expanded,
+    # so the expansion is only as long as the substituted indicator.
+    replacements = {
+        var: [1 << w for w in _mask_vars(mask ^ (1 << var))] + [0] * rhs
+        for var, (mask, rhs) in pivots.items()
+    }
+    z2 = isinstance(system.phase, GF2Poly)
+    terms: dict[int, int] = {}
+    for coeff, indicator in ((4, system.phase),) if z2 else system.phase.terms:
+        local = _z8(indicator)
+        for var in replacements.keys() & indicator.support():
+            _substitute(local, var, replacements[var])
+        _add_xor(terms, coeff, local)
+    return Reduced(free_vars, GF2Poly(terms) if z2 else _from_z8(terms))
 
 
 def _sweep(circuit: Circuit, input_bits: Sequence[int]) -> tuple[int, tuple[GF2Poly, ...], list, BasisString]:

@@ -9,8 +9,10 @@ amplitude_mixed sums over the free variables that eliminate leaves.
 
 count (for affine outputs) and amplitude_mixed reduce before they
 enumerate: _reduce applies the path-sum rules Elim and [HH] (Amy,
-arXiv:1805.06908) to the canonical Z8 phase, a z2 phase f being 4*f,
-and only the variables it leaves are tallied, the row scaled by the
+arXiv:1805.06908) to the canonical Z8 phase, a z2 phase f being 4*f.
+That map and its one substitution are the ones eliminate uses, so the
+mixed Reduced.phase that eliminate hands over is already canonical.
+Only the variables _reduce leaves are tallied, the row scaled by the
 powers of 2 it summed out. The result is exact and equal to the
 unreduced tally. The cap bounds the variables passed in, h for count
 and the free variables for amplitude_mixed, before any reduction.
@@ -38,7 +40,7 @@ import numpy as np
 
 from .circuit import BasisString, Circuit, index_to_bits
 from .compile_z2 import PathSystem, compile_mixed, eliminate
-from .gf2poly import GF2Poly, MixedPhase, _add_xor, _mask_vars
+from .gf2poly import GF2Poly, MixedPhase, _mask_vars, _substitute, _z8
 
 __all__ = [
     "DEFAULT_CAP",
@@ -159,7 +161,7 @@ def _tally(k: int, outputs: Sequence[GF2Poly], phase, target: Sequence[int] | No
     return _fold(k, work)
 
 
-def _reduce(phase: MixedPhase, free_vars: Sequence[int]) -> tuple[int, dict[int, int], tuple[int, ...]] | None:
+def _reduce(phase: GF2Poly | MixedPhase, free_vars: Sequence[int]) -> tuple[int, dict[int, int], tuple[int, ...]] | None:
     """Sum free variables out of sum_y w^phase(y) exactly, by the path-sum
     rules of Amy (arXiv:1805.06908) on the canonical Z8 phase, to a fixed point.
 
@@ -174,7 +176,7 @@ def _reduce(phase: MixedPhase, free_vars: Sequence[int]) -> tuple[int, dict[int,
     coefficient mod 8} terms and the free variables left, in the order
     given; or None when the sum is exactly zero.
     """
-    terms = {mask: c for c, f in phase.canonicalize().terms for mask in f.masks}
+    terms = _z8(phase)
     free = list(free_vars)
     doublings = 0
     while True:
@@ -197,15 +199,12 @@ def _reduce(phase: MixedPhase, free_vars: Sequence[int]) -> tuple[int, dict[int,
         if not g and constant:
             return None
         if g:
-            y_bit = g & -g
-            rest = [1 << v for v in _mask_vars(g ^ y_bit)] + [0] * constant  # y = XOR of rest
-            for mask in [m for m in terms if m & y_bit]:
-                c = terms.pop(mask)
-                _add_xor(terms, c, GF2Poly(mask ^ y_bit | r for r in rest).masks)
-            free.remove(y_bit.bit_length() - 1)
+            y = (g & -g).bit_length() - 1
+            _substitute(terms, y, [1 << v for v in _mask_vars(g ^ (1 << y))] + [0] * constant)
+            free.remove(y)
 
 
-def _reduced_row(phase: MixedPhase, free_vars: Sequence[int], cap: int) -> list[int]:
+def _reduced_row(phase: GF2Poly | MixedPhase, free_vars: Sequence[int], cap: int) -> list[int]:
     """The mod-8 tally row of sum_y w^phase(y) over the free variables:
     _reduce, then the remaining variables relabelled to 1..k, tallied
     and scaled by 2^doublings. Exact, so its value equals the unreduced one."""
@@ -333,7 +332,7 @@ def count(system: PathSystem, output_bits: Sequence[int], cap: int = DEFAULT_CAP
     reduced = eliminate(system, b)
     if reduced is None:
         return CountPair(0, 0, h)
-    row = _reduced_row(MixedPhase(((4, reduced.phase),)), reduced.free_vars, cap)
+    row = _reduced_row(reduced.phase, reduced.free_vars, cap)
     gap, total = row[0] - row[4], 1 << len(reduced.free_vars)
     return CountPair((total + gap) // 2, (total - gap) // 2, h)
 
@@ -398,6 +397,18 @@ def amplitude_mixed(
     return _value(_reduced_row(phase, order, cap), num_hadamards)
 
 
+def _mixed_amplitude(system: PathSystem, output_bits: Sequence[int], cap: int) -> CyclotomicValue:
+    """Exact amplitude of a compiled mixed-mode system: eliminate the
+    output constraints (inconsistent ones give the exact zero value),
+    then sum over the free variables."""
+    reduced = eliminate(system, output_bits)
+    if reduced is None:
+        return CyclotomicValue.zero(system.num_path_vars)
+    return amplitude_mixed(
+        reduced.phase, reduced.free_vars, system.num_path_vars, cap
+    )
+
+
 def cyclotomic_amplitude(
     circuit: Circuit,
     input_bits: Sequence[int],
@@ -409,10 +420,4 @@ def cyclotomic_amplitude(
     Compiles, eliminates the output constraints, and enumerates the
     free variables. Inconsistent constraints give the exact zero value.
     """
-    system = compile_mixed(circuit, input_bits)
-    reduced = eliminate(system, output_bits)
-    if reduced is None:
-        return CyclotomicValue.zero(system.num_path_vars)
-    return amplitude_mixed(
-        reduced.phase, reduced.free_vars, system.num_path_vars, cap
-    )
+    return _mixed_amplitude(compile_mixed(circuit, input_bits), output_bits, cap)

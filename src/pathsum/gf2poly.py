@@ -12,6 +12,9 @@ as ``x1`` and graded lexicographic term order, e.g. ``x3 + x2*x4``.
 
 MixedPhase, a sum of (coefficient mod 8, Z2 indicator) terms, is the
 phase of a mixed-mode path sum; a z2 phase f is the mixed phase 4*f.
+The reduce layer works on one form of either phase, the canonical Z8
+map {monomial mask: coefficient mod 8} built by _z8, and substitutes
+into it with _substitute alone.
 """
 
 from __future__ import annotations
@@ -309,11 +312,6 @@ class MixedPhase:
     def degree(self) -> int:
         return max((f.degree for _, f in self.terms), default=0)
 
-    def substitute(self, var: int, replacement: GF2Poly) -> MixedPhase:
-        return MixedPhase(
-            tuple((c, f.substitute(var, replacement)) for c, f in self.terms)
-        )
-
     def canonicalize(self) -> MixedPhase:
         """Rewrite as a Z8-combination of distinct monomials, sorted.
 
@@ -327,13 +325,7 @@ class MixedPhase:
         leave genuine degree-3 terms (coefficient 4); those are
         preserved, never truncated.
         """
-        acc: dict[int, int] = {}
-        for coeff, indicator in self.terms:
-            _add_xor(acc, coeff, indicator.masks)
-        kept = sorted(acc.items(), key=lambda kv: _term_key(kv[0]))
-        return MixedPhase(
-            tuple((w, GF2Poly((mask,))) for mask, w in kept)
-        )
+        return _from_z8(_z8(self))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -380,3 +372,33 @@ def _xor_to_z8(masks: Sequence[int], modulus: int) -> dict[int, int]:
             mask = m1 | m2
             out[mask] = (out.get(mask, 0) - 2 * w1 * w2) % modulus
     return {mask: w for mask, w in out.items() if w}
+
+
+def _z8(phase: GF2Poly | MixedPhase) -> dict[int, int]:
+    """The canonical Z8 map {monomial mask: coefficient mod 8} of a phase,
+    the one phase form of the reduce layer; a z2 phase f is 4*f."""
+    if isinstance(phase, GF2Poly):
+        return dict.fromkeys(phase.masks, 4)
+    acc: dict[int, int] = {}
+    for coeff, indicator in phase.terms:
+        _add_xor(acc, coeff, indicator.masks)
+    return acc
+
+
+def _from_z8(terms: Mapping[int, int]) -> MixedPhase:
+    """The canonical MixedPhase of a Z8 map: its terms in graded lex order."""
+    kept = sorted(terms.items(), key=lambda kv: _term_key(kv[0]))
+    return MixedPhase(tuple((w, GF2Poly((mask,))) for mask, w in kept))
+
+
+def _substitute(terms: dict[int, int], var: int, masks: Sequence[int]) -> None:
+    """Set x_var := XOR of masks in a Z8 map, in place; each mask is 1 << v
+    for a variable v, or 0 for the constant 1.
+
+    A term c * 1_[m * x_var] becomes c * 1_[XOR of m * r over the masks r],
+    expanded by _add_xor; products m * r that coincide cancel in pairs.
+    """
+    bit = 1 << var
+    for mask in [m for m in terms if m & bit]:
+        rest = mask ^ bit
+        _add_xor(terms, terms.pop(mask), GF2Poly(rest | r for r in masks).masks)

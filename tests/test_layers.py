@@ -4,8 +4,9 @@ Imports run one way (circuit, gf2poly -> compile_z2 -> counting ->
 montecarlo, cli) and only the counting kernel evaluates polynomials on
 packed paths. Amplitude values stay finite at any Hadamard count and
 match the direct float formula bit for bit below 2^1024; the sampler
-and `verify random` reject out-of-range sizes before drawing, and both
-name a negative --seed; and
+and `verify` reject out-of-range sizes before drawing, and both
+name a negative --seed; a circuit file declaring too many qubits is
+refused where the count is read; `verify` compiles once per input; and
 amplitude_mixed names the phase it needs when handed a z2 one.
 """
 
@@ -32,10 +33,11 @@ from pathsum import (
     estimate_amplitude,
     parse_circuit,
 )
-from pathsum import cli, montecarlo
+from pathsum import cli, counting, montecarlo
+from pathsum.circuit import MAX_DECLARED_QUBITS
 from pathsum.cli import main
 
-from conftest import GOLDEN_PATH
+from conftest import CIRCUITS_DIR, GOLDEN_PATH
 
 SRC = Path(pathsum.__file__).resolve().parent
 
@@ -180,6 +182,72 @@ class TestVerifyGateRange:
                      "--trials", "1", "--pairs", "1"])
         assert code == 0
         assert "verified 1 circuit(s)" in capsys.readouterr().out
+
+
+class TestVerifyPairAndTrialRange:
+    def test_too_many_pairs_are_rejected_before_drawing(self, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a basis pair for an out-of-range --pairs")
+
+        monkeypatch.setattr(cli, "_draw_bits", no_draw)
+        code = main(["verify", str(GOLDEN_PATH), "--pairs", "1000000000"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: --pairs") and str(cli.MAX_VERIFY_PAIRS) in err
+
+    def test_too_many_trials_are_rejected_before_drawing(self, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a circuit for an out-of-range --trials")
+
+        monkeypatch.setattr(cli, "random_circuit", no_draw)
+        code = main(["verify", "random", "--trials", "1000000000"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: --trials") and str(cli.MAX_RANDOM_TRIALS) in err
+
+    def test_pairs_at_the_limit_are_accepted(self, capsys):
+        code = main(["verify", str(CIRCUITS_DIR / "hth.circ"), "--pairs", str(cli.MAX_VERIFY_PAIRS)])
+        assert code == 0
+        assert f"{cli.MAX_VERIFY_PAIRS} pair(s)" in capsys.readouterr().out
+
+
+class TestDeclaredQubitLimit:
+    def _write(self, tmp_path, n: int) -> str:
+        path = tmp_path / "wide.circ"
+        path.write_text(f"mode z2\nqubits {n}\nh 0\n", encoding="utf-8")
+        return str(path)
+
+    def test_parse_refuses_a_count_past_the_limit(self):
+        with pytest.raises(ValueError, match=f"limit of {MAX_DECLARED_QUBITS}"):
+            parse_circuit(f"mode z2\nqubits {MAX_DECLARED_QUBITS + 1}\n")
+        assert parse_circuit(f"mode z2\nqubits {MAX_DECLARED_QUBITS}\n").num_qubits == MAX_DECLARED_QUBITS
+
+    @pytest.mark.parametrize("argv", [["stats"], ["verify", "--exhaustive"], ["parse"]])
+    def test_cli_exits_1_without_a_traceback(self, argv, tmp_path, capsys):
+        code = main([*argv[:1], self._write(tmp_path, 10**12), *argv[1:]])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: line 2: qubit count") and "Traceback" not in err
+
+    def test_exhaustive_refuses_seven_qubits_at_the_limit(self, tmp_path, capsys):
+        code = main(["verify", self._write(tmp_path, MAX_DECLARED_QUBITS), "--exhaustive"])
+        assert code == 1
+        assert "at most 6 qubits" in capsys.readouterr().err
+
+
+def test_verify_compiles_once_per_input(monkeypatch, capsys):
+    compiled = []
+    compile_mixed = cli.compile_mixed
+
+    def spy(circuit, input_bits):
+        compiled.append(tuple(input_bits))
+        return compile_mixed(circuit, input_bits)
+
+    monkeypatch.setattr(cli, "compile_mixed", spy)
+    monkeypatch.setattr(counting, "compile_mixed", spy)
+    code = main(["verify", str(CIRCUITS_DIR / "hth.circ"), "--exhaustive"])
+    assert code == 0 and "4 pair(s)" in capsys.readouterr().out
+    assert sorted(compiled) == [(0,), (1,)]
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,18 @@
-"""Differential tests of the path-sum reducer inside count and amplitude_mixed.
+"""Differential tests of the reduce layer: eliminate and the path-sum
+reducer inside count and amplitude_mixed.
 
 _reduce sums variables out of the canonical Z8 phase by Elim and [HH]
 before the kernel enumerates what is left. The reduced results must
 equal, exactly, the unreduced _tally over all 2^h paths of the same
-system, and match the dense simulator.
+system, and match the dense simulator. eliminate substitutes its pivots
+into the same Z8 map; its result must equal the object substitution
+it replaced, GF2Poly.substitute per pivot followed by canonicalize.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +35,7 @@ from pathsum import (
     random_circuit,
     simulate,
 )
-from pathsum import counting
+from pathsum import counting, gf2poly
 from pathsum.circuit import bits_to_index
 
 from conftest import random_bits
@@ -166,3 +170,70 @@ def test_identical_under_threads(tally_sizes, monkeypatch):
         runs.append(run)
     assert runs[0] == runs[1]
     assert max(tally_sizes) > 1  # some reduced cores span several blocks
+
+
+def _object_eliminate(system, b):
+    """eliminate by objects: pivots back-substituted into each other, then
+    each one substituted into the phase with GF2Poly.substitute; a mixed
+    phase is canonicalized at the end. None when B(x) = b is inconsistent."""
+    pivots = {}
+    for poly, bit in zip(system.outputs, b):
+        mask, rhs = sum(poly.masks), bit ^ (0 in poly.masks)
+        for var, (pmask, prhs) in pivots.items():
+            if mask >> var & 1:
+                mask, rhs = mask ^ pmask, rhs ^ prhs
+        if mask == 0:
+            if rhs:
+                return None
+            continue
+        var = (mask & -mask).bit_length() - 1
+        for other, (omask, orhs) in list(pivots.items()):
+            if omask >> var & 1:
+                pivots[other] = (omask ^ mask, orhs ^ rhs)
+        pivots[var] = (mask, rhs)
+    phase = system.phase
+    for var, (mask, rhs) in pivots.items():
+        replacement = GF2Poly(
+            [1 << w for w in range(mask.bit_length()) if w != var and mask >> w & 1] + [0] * rhs
+        )
+        if isinstance(phase, GF2Poly):
+            phase = phase.substitute(var, replacement)
+        else:
+            phase = MixedPhase(tuple((c, f.substitute(var, replacement)) for c, f in phase.terms))
+    free = tuple(v for v in range(1, system.num_path_vars + 1) if v not in pivots)
+    return free, phase if isinstance(phase, GF2Poly) else phase.canonicalize(), pivots
+
+
+def test_eliminate_equals_the_object_substitution_in_both_modes():
+    rng = np.random.default_rng(4242)
+    seen = Counter()
+    for _ in range(200):
+        z2, mixed, a = _draw(rng, True)
+        for system in (compile_circuit(z2, a), compile_mixed(mixed, a)):
+            mode = "z2" if isinstance(system.phase, GF2Poly) else "mixed"
+            for _ in range(4):
+                b = random_bits(rng, len(a))
+                reduced, expected = eliminate(system, b), _object_eliminate(system, b)
+                if expected is None:
+                    assert reduced is None
+                    seen[mode, "refuted"] += 1
+                    continue
+                free, phase, pivots = expected
+                assert reduced.free_vars == free
+                assert type(reduced.phase) is type(phase)
+                assert reduced.phase == phase
+                seen[mode, "constant pivot"] += any(rhs for _, rhs in pivots.values())
+                seen[mode, "pivots"] += len(pivots)
+    for mode in ("z2", "mixed"):
+        assert seen[mode, "refuted"] and seen[mode, "constant pivot"] and seen[mode, "pivots"], seen
+
+
+def test_one_substitution_in_the_reduce_layer():
+    assert not hasattr(MixedPhase, "substitute")
+    src = Path(gf2poly.__file__).resolve().parent
+    callers = [
+        path.name
+        for path in src.glob("*.py")
+        if path.name != "gf2poly.py" and ".substitute(" in path.read_text(encoding="utf-8")
+    ]
+    assert callers == []
