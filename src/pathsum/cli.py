@@ -33,7 +33,7 @@ from .circuit import (
     sign_transform,
 )
 from .compile_z2 import BoundViolationError, compile_circuit, compile_mixed, normalize, path_count_check
-from .counting import DEFAULT_CAP, CapExceededError, _mixed_amplitude, amplitude, distribution
+from .counting import DEFAULT_CAP, CapExceededError, _amplitude, distribution
 from .montecarlo import GENERATOR, estimate_amplitude
 from .refsim import MAX_QUBITS, simulate
 from . import __version__
@@ -109,12 +109,10 @@ def _cmd_amplitude(args: argparse.Namespace) -> int:
     circuit = _prepared(args)
     input_bits = _bits_arg(args.input, circuit.num_qubits, "--in")
     output_bits = _bits_arg(args.output, circuit.num_qubits, "--out")
-    system = _compile(circuit, input_bits)
+    value = _amplitude(_compile(circuit, input_bits), output_bits, args.cap)
     if circuit.mode is Mode.Z2:
-        value = amplitude(system, output_bits, args.cap)
         print(f"{value} = {value.as_float():.12f}")
     else:
-        value = _mixed_amplitude(system, output_bits, args.cap)
         print(f"{value}, w = exp(i*pi/4)")
         print(f"= {_format_complex(value.as_complex())}")
     return 0
@@ -146,16 +144,19 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise ValueError("sample supports z2-mode circuits only")
     input_bits = _bits_arg(args.input, circuit.num_qubits, "--in")
     output_bits = _bits_arg(args.output, circuit.num_qubits, "--out")
-    _check_seed(args.seed)
+    _check_non_negative("--seed", args.seed)
+    _check_non_negative("--cap", args.cap)
     system = compile_circuit(circuit, input_bits)
     result = estimate_amplitude(system, output_bits, args.samples, args.seed)
     print(f"estimate = {result.estimate:.12f}")
     print(f"std_error = {result.std_error:.12f}")
     print(f"samples = {result.num_samples}  h = {result.h}  seed = {args.seed}")
     print(f"generator = {GENERATOR}")
-    if system.num_path_vars <= args.cap:
-        exact = amplitude(system, output_bits, args.cap)
-        print(f"exact = {exact.as_float():.12f} ({exact})")
+    try:
+        exact = _amplitude(system, output_bits, args.cap)
+    except CapExceededError:  # h above the cap: the estimate alone
+        return 0
+    print(f"exact = {exact.as_float():.12f} ({exact})")
     return 0
 
 
@@ -193,9 +194,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+def _check_non_negative(flag: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{flag} must be a non-negative integer, got {value}")
 
 
 def _draw_bits(rng: np.random.Generator, num_qubits: int) -> BasisString:
@@ -217,10 +218,8 @@ def _verify_circuit(
             states[a] = simulate(circuit, a)
             systems[a] = _compile(circuit, a)
         expected = complex(states[a][bits_to_index(b)])
-        if circuit.mode is Mode.Z2:
-            got = complex(amplitude(systems[a], b, cap).as_float())
-        else:
-            got = _mixed_amplitude(systems[a], b, cap).as_complex()
+        value = _amplitude(systems[a], b, cap)
+        got = complex(value.as_float()) if circuit.mode is Mode.Z2 else value.as_complex()
         error = abs(got - expected)
         worst = max(worst, error)
         if error > tol:
@@ -239,7 +238,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--pairs must be 1 to {MAX_VERIFY_PAIRS}, got {args.pairs}")
     if not 1 <= args.trials <= MAX_RANDOM_TRIALS:
         raise ValueError(f"--trials must be 1 to {MAX_RANDOM_TRIALS}, got {args.trials}")
-    _check_seed(args.seed)
+    _check_non_negative("--seed", args.seed)
     rng = np.random.default_rng(args.seed)
     if args.circuit == "random":
         if not 1 <= args.n <= MAX_QUBITS:

@@ -123,10 +123,11 @@ def eliminate(system: PathSystem, output_bits: Sequence[int]) -> Reduced | None:
     b = tuple(bit & 1 for bit in output_bits)
     pivots: dict[int, tuple[int, int]] = {}
     for poly, bit in zip(system.outputs, b):
-        if poly.degree > 1:
-            raise ValueError("output constraints must be affine")
-        # Affine: distinct one-variable monomials, plus 0 for the constant 1.
-        mask, rhs = sum(poly.masks), bit ^ (0 in poly.masks)
+        mask, rhs = 0, bit
+        for m in poly.masks:  # affine: one-variable monomials, and 0 for the constant 1
+            if m & (m - 1):
+                raise ValueError("output constraints must be affine")
+            mask, rhs = mask | m, rhs ^ (m == 0)
         for var, (pmask, prhs) in pivots.items():
             if mask >> var & 1:
                 mask ^= pmask

@@ -3,19 +3,16 @@
 For a compiled system with h path variables, the transition amplitude
 to output b is (#(0) - #(1)) / sqrt(2^h) where #(k) counts the
 assignments x with B(x) = b and phase(x) = k. A mixed-mode phase is
-tallied mod 8 instead, giving CyclotomicValues. distribution serves
-both modes; count, count_all and amplitude are z2-mode only, and
-amplitude_mixed sums over the free variables that eliminate leaves.
+tallied mod 8 instead, giving CyclotomicValues.
 
-count (for affine outputs) and amplitude_mixed reduce before they
-enumerate: _reduce applies the path-sum rules Elim and [HH] (Amy,
-arXiv:1805.06908) to the canonical Z8 phase, a z2 phase f being 4*f.
-That map and its one substitution are the ones eliminate uses, so the
-mixed Reduced.phase that eliminate hands over is already canonical.
-Only the variables _reduce leaves are tallied, the row scaled by the
-powers of 2 it summed out. The result is exact and equal to the
-unreduced tally. The cap bounds the variables passed in, h for count
-and the free variables for amplitude_mixed, before any reduction.
+_row is the one pipeline behind count, amplitude, cyclotomic_amplitude
+and the CLI's _amplitude, in both modes. Affine outputs are eliminated,
+then _reduce applies the path-sum rules Elim and [HH] (Amy,
+arXiv:1805.06908) to the canonical Z8 phase (a z2 phase f is 4*f) and
+only the variables it leaves are tallied; other outputs filter a sweep
+over all 2^h paths. The cap bounds h for a z2 system and for
+distribution, which tallies every output in one sweep, and the free
+variables after elimination for a mixed-mode amplitude.
 
 _block_tally owns the packed-path format: it packs path indices into
 uint64 words (x_i at bit i, so at most 63 variables) and tallies them
@@ -83,7 +80,7 @@ def _check_cap(h: int, cap: int) -> None:
     if h > cap:
         raise CapExceededError(
             f"enumeration over 2^{h} assignments exceeds the cap of 2^{cap}; "
-            "raise --cap or fall back to montecarlo sampling"
+            "raise --cap, or estimate the amplitude with pathsum sample (z2-mode circuits only)"
         )
     _check_packed(h)
 
@@ -97,6 +94,11 @@ def _worker_count() -> int:
         pass
     warnings.warn(f"PATHSUM_THREADS={raw!r} is not a positive integer; running on 1 thread", RuntimeWarning)
     return 1
+
+
+def _modulus(phase: GF2Poly | MixedPhase) -> int:
+    """The phase's tally width: values mod 2 for a GF2Poly, mod 8 for a MixedPhase."""
+    return 2 if isinstance(phase, GF2Poly) else 8
 
 
 def _block_tally(
@@ -115,7 +117,7 @@ def _block_tally(
         for poly, bit in zip(outputs, target):
             keep &= poly.values(points) == bool(bit)
         points = points[keep]
-    modulus = 2 if isinstance(phase, GF2Poly) else 8
+    modulus = _modulus(phase)
     keyed = outputs if target is None else ()
     shift = modulus.bit_length() - 1
     key = phase.values(points).astype(np.intp)
@@ -205,19 +207,45 @@ def _reduce(phase: GF2Poly | MixedPhase, free_vars: Sequence[int]) -> tuple[int,
 
 
 def _reduced_row(phase: GF2Poly | MixedPhase, free_vars: Sequence[int], cap: int) -> list[int]:
-    """The mod-8 tally row of sum_y w^phase(y) over the free variables:
-    _reduce, then the remaining variables relabelled to 1..k, tallied
-    and scaled by 2^doublings. Exact, so its value equals the unreduced one."""
+    """The tally row of sum_y w^phase(y) over the free variables, at the
+    phase's width: _reduce, then the remaining variables relabelled to
+    1..k, tallied and scaled by 2^doublings. The cap bounds the free
+    variables passed in. Exact, so its value equals the unreduced one."""
+    _check_cap(len(free_vars), cap)
+    width = _modulus(phase)
     reduced = _reduce(phase, free_vars)
     if reduced is None:
-        return [0] * 8
+        return [0] * width
     doublings, terms, rest = reduced
     position = {var: i + 1 for i, var in enumerate(rest)}
     local = MixedPhase(tuple(
         (c, GF2Poly((sum(1 << position[v] for v in _mask_vars(mask)),))) for mask, c in terms.items()
     ))
     (row,) = _tally(len(rest), (), local, (), cap).tolist()
-    return [n << doublings for n in row]
+    return [n << doublings for n in row[:: 8 // width]]  # a z2 phase 4*f takes the values 0 and 4
+
+
+def _row(system: PathSystem, output_bits: Sequence[int], cap: int) -> tuple[list[int], int]:
+    """Output b's tally row at the phase's width, and the paths reaching b.
+
+    Affine outputs are eliminated (an inconsistent B(x) = b reaches no
+    path) and the rest reduced by _reduced_row; other outputs filter the
+    sweep over all 2^h paths. After reduction the row keeps its value
+    but its entries are no longer path counts.
+    """
+    if len(output_bits) != system.num_qubits:
+        raise ValueError("output length must match the qubit count")
+    b = tuple(bit & 1 for bit in output_bits)
+    h = system.num_path_vars
+    # A z2 cap bounds h; a mixed one the free variables, which _reduced_row checks.
+    _check_cap(h if isinstance(system.phase, GF2Poly) else 0, cap)
+    if any(poly.degree > 1 for poly in system.outputs):
+        (row,) = _tally(h, system.outputs, system.phase, b, cap).tolist()
+        return row, sum(row)
+    reduced = eliminate(system, b)
+    if reduced is None:
+        return [0] * _modulus(system.phase), 0
+    return _reduced_row(reduced.phase, reduced.free_vars, cap), 1 << len(reduced.free_vars)
 
 
 @dataclass(frozen=True)
@@ -312,29 +340,13 @@ def _require_z2(system: PathSystem) -> None:
 
 
 def count(system: PathSystem, output_bits: Sequence[int], cap: int = DEFAULT_CAP) -> CountPair:
-    """Count solutions of B(x) = b with phase 0 and with phase 1.
-
-    Affine outputs (every output of a normalized H/TOFFOLI circuit) are
-    eliminated and the rest summed out by _reduce: there are then
-    2^free solutions, and the reduced sum of (-1)^phase is the gap.
-    Other outputs filter a sweep over all 2^h paths. Either way the cap
-    bounds h.
+    """Count solutions of B(x) = b with phase 0 and with phase 1: the
+    paths that reach b, split by the gap of _row's row. The cap bounds h.
     """
     _require_z2(system)
-    if len(output_bits) != system.num_qubits:
-        raise ValueError("output length must match the qubit count")
-    b = tuple(bit & 1 for bit in output_bits)
-    h = system.num_path_vars
-    if any(poly.degree > 1 for poly in system.outputs):
-        (row,) = _tally(h, system.outputs, system.phase, b, cap).tolist()
-        return CountPair(row[0], row[1], h)
-    _check_cap(h, cap)
-    reduced = eliminate(system, b)
-    if reduced is None:
-        return CountPair(0, 0, h)
-    row = _reduced_row(reduced.phase, reduced.free_vars, cap)
-    gap, total = row[0] - row[4], 1 << len(reduced.free_vars)
-    return CountPair((total + gap) // 2, (total - gap) // 2, h)
+    (even, odd), reached = _row(system, output_bits, cap)
+    gap = even - odd
+    return CountPair((reached + gap) // 2, (reached - gap) // 2, system.num_path_vars)
 
 
 def count_all(system: PathSystem, cap: int = DEFAULT_CAP) -> dict[BasisString, CountPair]:
@@ -349,9 +361,14 @@ def count_all(system: PathSystem, cap: int = DEFAULT_CAP) -> dict[BasisString, C
 
 
 def amplitude(system: PathSystem, output_bits: Sequence[int], cap: int = DEFAULT_CAP) -> RealAmplitude:
-    """Exact transition amplitude to one output basis string."""
-    pair = count(system, output_bits, cap)
-    return RealAmplitude(pair.gap, pair.h)
+    """Exact transition amplitude of a z2-mode system to one output basis string."""
+    _require_z2(system)
+    return _amplitude(system, output_bits, cap)
+
+
+def _amplitude(system: PathSystem, output_bits: Sequence[int], cap: int) -> RealAmplitude | CyclotomicValue:
+    """Exact transition amplitude of a system of either mode to one output basis string."""
+    return _value(_row(system, output_bits, cap)[0], system.num_path_vars)
 
 
 def distribution(system: PathSystem, cap: int = DEFAULT_CAP) -> dict[BasisString, RealAmplitude | CyclotomicValue]:
@@ -387,26 +404,12 @@ def amplitude_mixed(
     """
     if not isinstance(phase, MixedPhase):
         raise ValueError("amplitude_mixed takes a mixed (mod 8) phase, not a z2 phase polynomial")
-    order = tuple(free_vars)
-    _check_cap(len(order), cap)
-    extra = phase.support() - set(order)
+    extra = phase.support() - set(free_vars)
     if extra:
         raise ValueError(
             f"phase references non-free variables {sorted(extra)}"
         )
-    return _value(_reduced_row(phase, order, cap), num_hadamards)
-
-
-def _mixed_amplitude(system: PathSystem, output_bits: Sequence[int], cap: int) -> CyclotomicValue:
-    """Exact amplitude of a compiled mixed-mode system: eliminate the
-    output constraints (inconsistent ones give the exact zero value),
-    then sum over the free variables."""
-    reduced = eliminate(system, output_bits)
-    if reduced is None:
-        return CyclotomicValue.zero(system.num_path_vars)
-    return amplitude_mixed(
-        reduced.phase, reduced.free_vars, system.num_path_vars, cap
-    )
+    return _value(_reduced_row(phase, free_vars, cap), num_hadamards)
 
 
 def cyclotomic_amplitude(
@@ -415,9 +418,6 @@ def cyclotomic_amplitude(
     output_bits: Sequence[int],
     cap: int = DEFAULT_CAP,
 ) -> CyclotomicValue:
-    """Exact transition amplitude of a mixed-mode circuit.
-
-    Compiles, eliminates the output constraints, and enumerates the
-    free variables. Inconsistent constraints give the exact zero value.
-    """
-    return _mixed_amplitude(compile_mixed(circuit, input_bits), output_bits, cap)
+    """Exact transition amplitude of a mixed-mode circuit, by _row; an
+    inconsistent output constraint gives the exact zero value."""
+    return _amplitude(compile_mixed(circuit, input_bits), output_bits, cap)

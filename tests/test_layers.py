@@ -72,6 +72,21 @@ class TestLayers:
         assert _relative_imports("compile_z2").isdisjoint({"counting", "montecarlo", "cli"})
         assert _relative_imports("counting").isdisjoint({"montecarlo", "cli"})
 
+    def test_cli_reaches_amplitudes_only_through_the_one_path(self):
+        assert not hasattr(counting, "_mixed_amplitude")
+        tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+        entry_points = {
+            "count", "amplitude", "amplitude_mixed", "cyclotomic_amplitude", "eliminate",
+            "_amplitude", "_row", "_reduced_row", "_tally",
+        }
+        assert imported & entry_points == {"_amplitude"}
+
     def test_only_the_kernel_evaluates_packed_paths(self):
         offenders = [
             path.name

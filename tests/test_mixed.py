@@ -256,6 +256,23 @@ class TestEliminate:
         with pytest.raises(ValueError):
             eliminate(system, (0,))
 
+    @pytest.mark.parametrize(
+        "outputs",
+        [
+            (GF2Poly.one() + var(1) + var(2) * var(3),),  # a constant and a linear term first
+            (var(1) + var(2), var(2) * var(3)),  # an affine row, then a non-affine one
+        ],
+    )
+    def test_rejects_nonaffine_outputs_in_any_row(self, outputs):
+        system = MixedSystem(
+            num_path_vars=3,
+            outputs=outputs,
+            phase=MixedPhase(),
+            input_bits=(0,) * len(outputs),
+        )
+        with pytest.raises(ValueError, match="affine"):
+            eliminate(system, (0,) * len(outputs))
+
     def test_elimination_agrees_with_full_enumeration(self):
         rng = np.random.default_rng(36)
         for _ in range(30):
