@@ -154,7 +154,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     print(f"generator = {GENERATOR}")
     try:
         exact = _amplitude(system, output_bits, args.cap)
-    except CapExceededError:  # h above the cap: the estimate alone
+    except CapExceededError:  # more variables left to enumerate than the cap: the estimate alone
         return 0
     print(f"exact = {exact.as_float():.12f} ({exact})")
     return 0
@@ -294,8 +294,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 _CAP_HELP = (
-    "largest log2 of the paths to enumerate (default %(default)s): h, or the "
-    "free variables after elimination for a mixed-mode amplitude"
+    "largest log2 of the assignments to enumerate (default %(default)s): the free "
+    "variables left by Gaussian elimination, or h where nothing is eliminated"
 )
 
 
@@ -360,7 +360,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", dest="output", required=True, help="output basis string")
     sub.add_argument("--samples", type=int, default=4096, help="uniform path draws, at most 2^30")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--cap", type=int, default=DEFAULT_CAP, help="print the exact value when h <= cap")
+    sub.add_argument(
+        "--cap", type=int, default=DEFAULT_CAP,
+        help="also print the exact value when it is within the cap (default %(default)s), counted as for amplitude",
+    )
     sub.add_argument("--normalize", action="store_true")
 
     sub = add("stats", _cmd_stats, "compiled-system sizes and bound checks")

@@ -121,25 +121,35 @@ def eliminate(system: PathSystem, output_bits: Sequence[int]) -> Reduced | None:
     if len(output_bits) != system.num_qubits:
         raise ValueError("output length must match the qubit count")
     b = tuple(bit & 1 for bit in output_bits)
+    # Echelon form: each row's pivot is its lowest variable, and a new row
+    # is reduced only by the pivots it holds, lowest first.
     pivots: dict[int, tuple[int, int]] = {}
+    pivot_bits = 0
     for poly, bit in zip(system.outputs, b):
         mask, rhs = 0, bit
         for m in poly.masks:  # affine: one-variable monomials, and 0 for the constant 1
             if m & (m - 1):
                 raise ValueError("output constraints must be affine")
             mask, rhs = mask | m, rhs ^ (m == 0)
-        for var, (pmask, prhs) in pivots.items():
-            if mask >> var & 1:
-                mask ^= pmask
-                rhs ^= prhs
+        while hit := mask & pivot_bits:
+            pmask, prhs = pivots[(hit & -hit).bit_length() - 1]
+            mask ^= pmask
+            rhs ^= prhs
         if mask == 0:
             if rhs:
                 return None
             continue
-        var = (mask & -mask).bit_length() - 1
-        for other, (omask, orhs) in list(pivots.items()):
-            if omask >> var & 1:
-                pivots[other] = (omask ^ mask, orhs ^ rhs)
+        low = mask & -mask
+        pivots[low.bit_length() - 1] = (mask, rhs)
+        pivot_bits |= low
+    # Back-substitute in descending pivot order: the higher rows a row
+    # holds are already reduced, so each hit is cleared once.
+    for var in sorted(pivots, reverse=True):
+        mask, rhs = pivots[var]
+        for other in _mask_vars((mask & pivot_bits) ^ (1 << var)):
+            omask, orhs = pivots[other]
+            mask ^= omask
+            rhs ^= orhs
         pivots[var] = (mask, rhs)
     free_vars = tuple(
         v for v in range(1, system.num_path_vars + 1) if v not in pivots
@@ -155,8 +165,7 @@ def eliminate(system: PathSystem, output_bits: Sequence[int]) -> Reduced | None:
     terms: dict[int, int] = {}
     for coeff, indicator in ((4, system.phase),) if z2 else system.phase.terms:
         local = _z8(indicator)
-        for var in replacements.keys() & indicator.support():
-            _substitute(local, var, replacements[var])
+        _substitute(local, replacements, pivot_bits)
         _add_xor(terms, coeff, local)
     return Reduced(free_vars, GF2Poly(terms) if z2 else _from_z8(terms))
 
@@ -228,20 +237,19 @@ def normalize(circuit: Circuit) -> Circuit:
     """
     if circuit.mode is not Mode.Z2:
         raise ValueError("normalize handles z2-mode circuits only")
+    # One backward pass: next_gate[q] is the next original gate on line q.
     gates: list[Gate] = []
-    originals = circuit.gates
-    for i, gate in enumerate(originals):
+    next_gate: dict[int, Gate] = {}
+    for gate in reversed(circuit.gates):
+        if gate.kind is GateKind.TOFFOLI:
+            target = gate.qubits[2]
+            follower = next_gate.get(target)
+            if follower is None or follower.kind is not GateKind.H:
+                gates += (Gate.h(target), Gate.h(target))
         gates.append(gate)
-        if gate.kind is not GateKind.TOFFOLI:
-            continue
-        target = gate.qubits[2]
-        follower = next(
-            (g for g in originals[i + 1 :] if target in g.qubits), None
-        )
-        if follower is None or follower.kind is not GateKind.H or follower.qubits != (target,):
-            gates.append(Gate.h(target))
-            gates.append(Gate.h(target))
-    return Circuit(circuit.num_qubits, tuple(gates), circuit.mode)
+        for q in gate.qubits:
+            next_gate[q] = gate
+    return Circuit(circuit.num_qubits, tuple(reversed(gates)), circuit.mode)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ and the CLI's _amplitude, in both modes. Affine outputs are eliminated,
 then _reduce applies the path-sum rules Elim and [HH] (Amy,
 arXiv:1805.06908) to the canonical Z8 phase (a z2 phase f is 4*f) and
 only the variables it leaves are tallied; other outputs filter a sweep
-over all 2^h paths. The cap bounds h for a z2 system and for
-distribution, which tallies every output in one sweep, and the free
-variables after elimination for a mixed-mode amplitude.
+over all 2^h paths. In both modes the cap bounds log2 of the
+assignments left for the rules and the kernel: the free variables after
+elimination, or all h where nothing is eliminated (non-affine outputs,
+distribution and count_all, which tally every output in one sweep).
 
 _block_tally owns the packed-path format: it packs path indices into
 uint64 words (x_i at bit i, so at most 63 variables) and tallies them
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -74,15 +75,18 @@ def _check_packed(k: int) -> None:
         )
 
 
-def _check_cap(h: int, cap: int) -> None:
+def _check_cap(k: int, cap: int, h: int | None = None) -> None:
+    """Refuse to enumerate k path variables, of a system's h (default k),
+    beyond the cap or the packed-path limit."""
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    if h > cap:
+    if k > cap:
         raise CapExceededError(
-            f"enumeration over 2^{h} assignments exceeds the cap of 2^{cap}; "
+            f"enumeration over 2^{k} assignments ({k} path variables to enumerate, "
+            f"h = {k if h is None else h}) exceeds the cap of 2^{cap}; "
             "raise --cap, or estimate the amplitude with pathsum sample (z2-mode circuits only)"
         )
-    _check_packed(h)
+    _check_packed(k)
 
 
 def _worker_count() -> int:
@@ -202,16 +206,17 @@ def _reduce(phase: GF2Poly | MixedPhase, free_vars: Sequence[int]) -> tuple[int,
             return None
         if g:
             y = (g & -g).bit_length() - 1
-            _substitute(terms, y, [1 << v for v in _mask_vars(g ^ (1 << y))] + [0] * constant)
+            _substitute(terms, {y: [1 << v for v in _mask_vars(g ^ (1 << y))] + [0] * constant}, 1 << y)
             free.remove(y)
 
 
-def _reduced_row(phase: GF2Poly | MixedPhase, free_vars: Sequence[int], cap: int) -> list[int]:
+def _reduced_row(phase: GF2Poly | MixedPhase, free_vars: Sequence[int], h: int, cap: int) -> list[int]:
     """The tally row of sum_y w^phase(y) over the free variables, at the
     phase's width: _reduce, then the remaining variables relabelled to
     1..k, tallied and scaled by 2^doublings. The cap bounds the free
-    variables passed in. Exact, so its value equals the unreduced one."""
-    _check_cap(len(free_vars), cap)
+    variables passed in, of the system's h, before the rules run. Exact,
+    so its value equals the unreduced one."""
+    _check_cap(len(free_vars), cap, h)
     width = _modulus(phase)
     reduced = _reduce(phase, free_vars)
     if reduced is None:
@@ -237,15 +242,14 @@ def _row(system: PathSystem, output_bits: Sequence[int], cap: int) -> tuple[list
         raise ValueError("output length must match the qubit count")
     b = tuple(bit & 1 for bit in output_bits)
     h = system.num_path_vars
-    # A z2 cap bounds h; a mixed one the free variables, which _reduced_row checks.
-    _check_cap(h if isinstance(system.phase, GF2Poly) else 0, cap)
+    _check_cap(0, cap)  # refuses a negative cap even where elimination refutes b
     if any(poly.degree > 1 for poly in system.outputs):
         (row,) = _tally(h, system.outputs, system.phase, b, cap).tolist()
         return row, sum(row)
     reduced = eliminate(system, b)
     if reduced is None:
         return [0] * _modulus(system.phase), 0
-    return _reduced_row(reduced.phase, reduced.free_vars, cap), 1 << len(reduced.free_vars)
+    return _reduced_row(reduced.phase, reduced.free_vars, h, cap), 1 << len(reduced.free_vars)
 
 
 @dataclass(frozen=True)
@@ -341,7 +345,8 @@ def _require_z2(system: PathSystem) -> None:
 
 def count(system: PathSystem, output_bits: Sequence[int], cap: int = DEFAULT_CAP) -> CountPair:
     """Count solutions of B(x) = b with phase 0 and with phase 1: the
-    paths that reach b, split by the gap of _row's row. The cap bounds h.
+    paths that reach b, split by the gap of _row's row. The cap bounds
+    the free variables after elimination, or h for a non-affine output.
     """
     _require_z2(system)
     (even, odd), reached = _row(system, output_bits, cap)
@@ -400,16 +405,24 @@ def amplitude_mixed(
 
     The result is normalized by sqrt(2^num_hadamards), the total
     Hadamard count of the originating circuit, regardless of how many
-    variables survived elimination.
+    variables survived elimination. The free variables are distinct
+    1-based path variables, and the cap bounds how many there are.
     """
     if not isinstance(phase, MixedPhase):
         raise ValueError("amplitude_mixed takes a mixed (mod 8) phase, not a z2 phase polynomial")
-    extra = phase.support() - set(free_vars)
+    free = set(free_vars)
+    below = sorted(v for v in free if v < 1)
+    if below:
+        raise ValueError(f"free variables are path variables numbered from 1, got {below}")
+    if len(free) != len(free_vars):
+        repeated = sorted(v for v, n in Counter(free_vars).items() if n > 1)
+        raise ValueError(f"free variables repeat {repeated}")
+    extra = phase.support() - free
     if extra:
         raise ValueError(
             f"phase references non-free variables {sorted(extra)}"
         )
-    return _value(_reduced_row(phase, free_vars, cap), num_hadamards)
+    return _value(_reduced_row(phase, free_vars, num_hadamards, cap), num_hadamards)
 
 
 def cyclotomic_amplitude(

@@ -391,14 +391,18 @@ def _from_z8(terms: Mapping[int, int]) -> MixedPhase:
     return MixedPhase(tuple((w, GF2Poly((mask,))) for mask, w in kept))
 
 
-def _substitute(terms: dict[int, int], var: int, masks: Sequence[int]) -> None:
-    """Set x_var := XOR of masks in a Z8 map, in place; each mask is 1 << v
-    for a variable v, or 0 for the constant 1.
+def _substitute(terms: dict[int, int], replacements: Mapping[int, Sequence[int]], bits: int) -> None:
+    """Set each x_var := XOR of replacements[var] in a Z8 map, in place;
+    bits is the OR of 1 << var over the variables replaced, and each mask
+    is 1 << v for a variable v not replaced, or 0 for the constant 1.
 
-    A term c * 1_[m * x_var] becomes c * 1_[XOR of m * r over the masks r],
-    expanded by _add_xor; products m * r that coincide cancel in pairs.
+    A term c * 1_[m] becomes c * 1_[XOR of the products], each product m
+    with every replaced variable swapped for one of its masks, expanded
+    by _add_xor; products that coincide cancel in pairs. Each term is
+    visited once, however many of its variables are replaced.
     """
-    bit = 1 << var
-    for mask in [m for m in terms if m & bit]:
-        rest = mask ^ bit
-        _add_xor(terms, terms.pop(mask), GF2Poly(rest | r for r in masks).masks)
+    for mask in [m for m in terms if m & bits]:
+        products: Iterable[int] = (mask & ~bits,)
+        for var in _mask_vars(mask & bits):
+            products = GF2Poly(p | r for p in products for r in replacements[var]).masks
+        _add_xor(terms, terms.pop(mask), products)

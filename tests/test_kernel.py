@@ -33,6 +33,7 @@ from pathsum import (
     distribution_mixed,
     eliminate,
     estimate_amplitude,
+    parse_circuit,
     random_circuit,
     simulate,
 )
@@ -63,6 +64,10 @@ def eliminate_loop(system):
 
 def hadamard_chain(h: int) -> Circuit:
     return Circuit(1, (Gate.h(0),) * h, Mode.Z2)
+
+
+# h = 64 with the non-affine output x1*x2 on qubit 2, which sweeps all 2^h paths.
+NON_AFFINE_64 = "mode z2\nqubits 3\nh 0\nh 1\nccx 0 1 2\n" + "h 0\n" * 62
 
 
 class TestSharedSweep:
@@ -163,9 +168,10 @@ class TestStreamedBlocks:
 
 class TestPackedPathLimit:
     def test_kernel_refuses_64_variables(self):
-        ps = compile_circuit(hadamard_chain(64), (0,))
+        ps = compile_circuit(parse_circuit(NON_AFFINE_64), (0, 0, 0))
+        assert ps.num_path_vars == 64
         with pytest.raises(CapExceededError, match="63"):
-            count(ps, (0,), cap=70)
+            count(ps, (0, 0, 0), cap=70)
         with pytest.raises(CapExceededError, match="63"):
             amplitude_mixed(MixedPhase(), range(1, 65), 64, cap=70)
 
@@ -182,13 +188,13 @@ class TestPackedPathLimit:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("sample", "--in", "0", "--out", "0"),
-            ("amplitude", "--in", "0", "--out", "0", "--cap", "70"),
+            ("sample", "--in", "000", "--out", "000"),
+            ("amplitude", "--in", "000", "--out", "000", "--cap", "70"),
         ],
     )
     def test_cli_exits_3(self, argv, tmp_path, capsys):
         path = tmp_path / "h64.circ"
-        path.write_text("mode z2\nqubits 1\n" + "h 0\n" * 64, encoding="utf-8")
+        path.write_text(NON_AFFINE_64, encoding="utf-8")
         code = main([argv[0], str(path), *argv[1:]])
         err = capsys.readouterr().err
         assert code == 3

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -369,6 +370,14 @@ class TestAmplitudeMixed:
         phase = MixedPhase(((1, var(1)),))
         with pytest.raises(CapExceededError):
             amplitude_mixed(phase, tuple(range(1, 11)), num_hadamards=10, cap=5)
+
+    @pytest.mark.parametrize(
+        "free_vars, named",
+        [((1, 1), "repeat [1]"), ((2, 1, 3, 2, 1), "repeat [1, 2]"), ((-1,), "[-1]"), ((0, 1), "[0]")],
+    )
+    def test_rejects_repeated_or_non_path_variables(self, free_vars, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            amplitude_mixed(MixedPhase(), free_vars, num_hadamards=0)
 
 
 @st.composite
