@@ -120,7 +120,16 @@ def eliminate(system: PathSystem, output_bits: Sequence[int]) -> Reduced | None:
     """
     if len(output_bits) != system.num_qubits:
         raise ValueError("output length must match the qubit count")
-    b = tuple(bit & 1 for bit in output_bits)
+    pivots = _row_reduce(system, tuple(bit & 1 for bit in output_bits))
+    return None if pivots is None else _substitute_pivots(system, pivots)
+
+
+def _row_reduce(system: PathSystem, b: Sequence[int]) -> dict[int, tuple[int, int]] | None:
+    """The row reduction of eliminate: None when B(x) = b is inconsistent,
+    else {pivot variable: (row mask, rhs)}, each row holding its pivot and
+    free variables only. It touches no phase, so a caller can check the
+    free-variable count h - len(pivots) before _substitute_pivots, whose
+    phase can hold a term for every triple of free variables."""
     # Echelon form: each row's pivot is its lowest variable, and a new row
     # is reduced only by the pivots it holds, lowest first.
     pivots: dict[int, tuple[int, int]] = {}
@@ -151,6 +160,13 @@ def eliminate(system: PathSystem, output_bits: Sequence[int]) -> Reduced | None:
             mask ^= omask
             rhs ^= orhs
         pivots[var] = (mask, rhs)
+    return pivots
+
+
+def _substitute_pivots(system: PathSystem, pivots: dict[int, tuple[int, int]]) -> Reduced:
+    """The substitution of eliminate: each pivot's row into every phase
+    indicator, summed into the canonical Z8 phase."""
+    pivot_bits = sum(1 << var for var in pivots)
     free_vars = tuple(
         v for v in range(1, system.num_path_vars + 1) if v not in pivots
     )

@@ -12,8 +12,9 @@ arXiv:1805.06908) to the canonical Z8 phase (a z2 phase f is 4*f) and
 only the variables it leaves are tallied; other outputs filter a sweep
 over all 2^h paths. In both modes the cap bounds log2 of the
 assignments left for the rules and the kernel: the free variables after
-elimination, or all h where nothing is eliminated (non-affine outputs,
-distribution and count_all, which tally every output in one sweep).
+elimination, checked before the pivots are substituted into the phase,
+or all h where nothing is eliminated (non-affine outputs, distribution
+and count_all, which tally every output in one sweep).
 
 _block_tally owns the packed-path format: it packs path indices into
 uint64 words (x_i at bit i, so at most 63 variables) and tallies them
@@ -37,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circuit import BasisString, Circuit, index_to_bits
-from .compile_z2 import PathSystem, compile_mixed, eliminate
+from .compile_z2 import PathSystem, _row_reduce, _substitute_pivots, compile_mixed
 from .gf2poly import GF2Poly, MixedPhase, _mask_vars, _substitute, _z8
 
 __all__ = [
@@ -246,9 +247,11 @@ def _row(system: PathSystem, output_bits: Sequence[int], cap: int) -> tuple[list
     if any(poly.degree > 1 for poly in system.outputs):
         (row,) = _tally(h, system.outputs, system.phase, b, cap).tolist()
         return row, sum(row)
-    reduced = eliminate(system, b)
-    if reduced is None:
+    pivots = _row_reduce(system, b)
+    if pivots is None:
         return [0] * _modulus(system.phase), 0
+    _check_cap(h - len(pivots), cap, h)  # the substituted phase can hold a term per triple of free variables
+    reduced = _substitute_pivots(system, pivots)
     return _reduced_row(reduced.phase, reduced.free_vars, h, cap), 1 << len(reduced.free_vars)
 
 

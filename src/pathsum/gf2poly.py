@@ -14,14 +14,17 @@ MixedPhase, a sum of (coefficient mod 8, Z2 indicator) terms, is the
 phase of a mixed-mode path sum; a z2 phase f is the mixed phase 4*f.
 The reduce layer works on one form of either phase, the canonical Z8
 map {monomial mask: coefficient mod 8} built by _z8, and substitutes
-into it with _substitute alone.
+into it with _substitute alone. Both add c * 1_[XOR of monomials] to a
+map with _add_xor, a closed-form sum over the monomials, their pairs
+and their triples, since larger subsets weigh 0 mod 8.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import combinations
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -316,14 +319,14 @@ class MixedPhase:
         """Rewrite as a Z8-combination of distinct monomials, sorted.
 
         XORs inside indicators are expanded multilinearly using
-        1_[f xor g] = 1_[f] + 1_[g] - 2 * 1_[f] * 1_[g] over the
-        integers, reduced mod 8 at every step (by _add_xor, which drops
-        the products a term's coefficient sends to 0). Like terms merge and
+        1_[m1 xor ... xor mk] = sum over nonempty subsets S of
+        (-2)^(|S|-1) * prod(S) over the integers, reduced mod 8 (by
+        _add_xor, which adds the monomials, pairs and triples and skips
+        those a term's coefficient sends to 0). Like terms merge and
         cancel, so equal phase functions get equal canonical forms.
-        Indicators built from XORs alone stay at degree <= 2, but a
-        coefficient applied to an XOR of three or more monomials can
-        leave genuine degree-3 terms (coefficient 4); those are
-        preserved, never truncated.
+        An odd coefficient applied to an XOR of three or more monomials
+        leaves genuine products of three monomials (coefficient 4);
+        those are preserved, never truncated.
         """
         return _from_z8(_z8(self))
 
@@ -333,45 +336,27 @@ class MixedPhase:
         return " + ".join(f"{c}*({f})" for c, f in self.terms)
 
 
-def _add_xor(acc: dict[int, int], coeff: int, masks: Iterable[int]) -> None:
-    """Add coeff * 1_[XOR of the monomials] to acc, a {monomial mask:
-    weight mod 8} map; entries whose weight reaches 0 are removed.
+def _add_xor(acc: dict[int, int], coeff: int, masks: Collection[int]) -> None:
+    """Add coeff * 1_[XOR of the distinct monomials] to acc, a {monomial
+    mask: weight mod 8} map; entries whose weight reaches 0 are removed.
 
-    coeff = 2^v * odd is nonzero mod 8, and coeff * w mod 8 depends only
-    on w mod 2^(3 - v), so the expansion is taken mod 2^(3 - v): for a
-    Hadamard's coefficient 4 only the monomials themselves survive.
+    Over the integers 1_[m1 xor ... xor mk] is the sum over nonempty
+    subsets S of (-2)^(|S|-1) * prod(S), so mod 8 only the monomials,
+    their pairs (-2) and their triples (+4) survive, and a coefficient
+    divisible by 2 (by 4) also sends the triples (the pairs) to 0: for a
+    Hadamard's coefficient 4 only the monomials themselves are added.
     """
-    modulus = 8 >> ((coeff & -coeff).bit_length() - 1)
-    for mask, weight in _xor_to_z8(tuple(masks), modulus).items():
-        total = (acc.get(mask, 0) + coeff * weight) % 8
+    weighted = [(mask, coeff) for mask in masks]
+    if len(masks) > 1 and coeff & 3:
+        weighted += [(a | b, -2 * coeff) for a, b in combinations(masks, 2)]
+        if coeff & 1:
+            weighted += [(a | b | c, 4 * coeff) for a, b, c in combinations(masks, 3)]
+    for mask, weight in weighted:
+        total = (acc.get(mask, 0) + weight) % 8
         if total:
             acc[mask] = total
         else:
             acc.pop(mask, None)
-
-
-def _xor_to_z8(masks: Sequence[int], modulus: int) -> dict[int, int]:
-    """Multilinear expansion of the XOR of the given distinct monomials,
-    weights mod modulus (2, 4 or 8).
-
-    A subset S of the monomials carries (-2)^(|S|-1), so mod 2 only the
-    monomials survive and mod 4 only they and their pairs.
-    """
-    if modulus == 2 or len(masks) <= 1:
-        return dict.fromkeys(masks, 1)
-    mid = len(masks) // 2
-    left = _xor_to_z8(masks[:mid], modulus)
-    right = _xor_to_z8(masks[mid:], modulus)
-    out: dict[int, int] = {}
-    for mask, weight in left.items():
-        out[mask] = (out.get(mask, 0) + weight) % modulus
-    for mask, weight in right.items():
-        out[mask] = (out.get(mask, 0) + weight) % modulus
-    for m1, w1 in left.items():
-        for m2, w2 in right.items():
-            mask = m1 | m2
-            out[mask] = (out.get(mask, 0) - 2 * w1 * w2) % modulus
-    return {mask: w for mask, w in out.items() if w}
 
 
 def _z8(phase: GF2Poly | MixedPhase) -> dict[int, int]:
@@ -402,7 +387,7 @@ def _substitute(terms: dict[int, int], replacements: Mapping[int, Sequence[int]]
     visited once, however many of its variables are replaced.
     """
     for mask in [m for m in terms if m & bits]:
-        products: Iterable[int] = (mask & ~bits,)
+        products: Collection[int] = (mask & ~bits,)
         for var in _mask_vars(mask & bits):
             products = GF2Poly(p | r for p in products for r in replacements[var]).masks
         _add_xor(terms, terms.pop(mask), products)

@@ -418,7 +418,7 @@ def _subset_expansion(phase: MixedPhase) -> dict[int, int]:
 
 @given(
     st.lists(
-        st.tuples(st.integers(0, 7), st.lists(st.integers(0, 63), min_size=1, max_size=7)),
+        st.tuples(st.integers(0, 7), st.lists(st.integers(0, 63), min_size=1, max_size=12)),
         max_size=4,
     )
 )

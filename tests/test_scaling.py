@@ -3,9 +3,12 @@
 eliminate reduces each output row only by the pivots it holds and
 back-substitutes once, so an H layer of n qubits (n one-variable rows)
 eliminates in about linear time, and it substitutes all pivots into
-each phase term in one visit, so a z2 phase is not rescanned per pivot. normalize finds each TOFFOLI target's
-next gate in one backward pass; its output must equal the old rule,
-kept here as a reference loop.
+each phase term in one visit, so a z2 phase is not rescanned per pivot.
+The XOR expansion of the canonical Z8 map costs about its output, k +
+C(k,2) + C(k,3) terms for k monomials, and the cap is checked before
+the phase is substituted. normalize finds each TOFFOLI target's next
+gate in one backward pass; its output must equal the old rule, kept
+here as a reference loop.
 """
 
 from __future__ import annotations
@@ -13,11 +16,14 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
 from pathsum import (
     Circuit,
     Gate,
     GateKind,
+    GF2Poly,
+    MixedPhase,
     Mode,
     all_basis_strings,
     compile_circuit,
@@ -25,7 +31,9 @@ from pathsum import (
     eliminate,
     normalize,
     random_circuit,
+    render_circuit,
 )
+from pathsum.cli import main
 
 
 def normalize_by_scanning(circuit: Circuit) -> Circuit:
@@ -95,3 +103,41 @@ def test_eliminate_solves_dense_rows_exactly():
         # Output j is x1 + ... + x(j+1), so x(j+1) = b_j + b_(j-1).
         point = sum((b[j] ^ (b[j - 1] if j else 0)) << (j + 1) for j in range(n))
         assert reduced.phase.evaluate_mask(0) == system.phase.evaluate_mask(point)
+
+
+@pytest.mark.parametrize(
+    "coeff, k, terms, seconds",
+    [
+        (1, 60, 60 + 1770 + 34220, 2.0),  # the recursive merge of halves took 22 s
+        # A pair weighs -2*coeff and a triple 4*coeff, 0 mod 8 here: adding
+        # the 2 million pairs or the 1.3 million triples anyway took over 1 s.
+        (4, 2000, 2000, 0.25),
+        (2, 200, 200 + 19900, 0.25),
+    ],
+)
+def test_canonicalize_costs_about_its_output(coeff, k, terms, seconds):
+    # c * 1[x1 xor ... xor xk]: the monomials, the pairs unless 4 | c, the triples if c is odd.
+    phase = MixedPhase(((coeff, GF2Poly(1 << v for v in range(1, k + 1))),))
+    start = time.perf_counter()
+    canonical = phase.canonicalize()
+    assert time.perf_counter() - start < seconds
+    assert len(canonical.terms) == terms
+
+
+def test_cap_is_checked_before_the_phase_is_substituted(tmp_path, capsys):
+    # An H layer, the chain cx q q+1 and one T, then H again: elimination
+    # leaves n free variables and a phase with a term per triple of them.
+    n = 300
+    gates = (
+        tuple(Gate.h(q) for q in range(n))
+        + tuple(Gate.cnot(q, q + 1) for q in range(n - 1))
+        + (Gate.t(n - 1),)
+        + tuple(Gate.h(q) for q in range(n))
+    )
+    path = tmp_path / "chain.circ"
+    path.write_text(render_circuit(Circuit(n, gates, Mode.MIXED)), encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["amplitude", str(path), "--in", "0" * n, "--out", "0" * n])
+    assert time.perf_counter() - start < 5.0  # substituting first took about 2 minutes
+    assert code == 3
+    assert "300 path variables to enumerate, h = 600" in capsys.readouterr().err
