@@ -38,10 +38,8 @@ from .compile_z2 import (
     BoundViolationError,
     MixedSystem,
     PathSystem,
-    Reduced,
     compile_circuit,
     compile_mixed,
-    eliminate,
     normalize,
     path_count_check,
 )
@@ -51,6 +49,7 @@ from .counting import (
     CountPair,
     CyclotomicValue,
     RealAmplitude,
+    Reduced,
     amplitude,
     amplitude_mixed,
     count,
@@ -58,6 +57,7 @@ from .counting import (
     cyclotomic_amplitude,
     distribution,
     distribution_mixed,
+    eliminate,
 )
 from .gf2poly import GF2Poly, MixedPhase, parse_poly
 from .montecarlo import GENERATOR, SampleEstimate, estimate_amplitude

@@ -302,13 +302,7 @@ def decision_transform(circuit: Circuit, answer_qubit: int = 0) -> Circuit:
     Requires the answer qubit to hold a classical bit on basis inputs
     (true for any circuit whose gates are all X/CNOT/TOFFOLI).
     """
-    if not 0 <= answer_qubit < circuit.num_qubits:
-        raise ValueError("answer qubit out of range")
-    ancilla = circuit.num_qubits
-    gates = list(circuit.gates)
-    gates.append(Gate.cnot(answer_qubit, ancilla))
-    gates.extend(invert(circuit).gates)
-    return Circuit(circuit.num_qubits + 1, tuple(gates), circuit.mode)
+    return _copy_answer(circuit, answer_qubit, (), ())
 
 
 def sign_transform(circuit: Circuit, answer_qubit: int = 0) -> Circuit:
@@ -320,16 +314,18 @@ def sign_transform(circuit: Circuit, answer_qubit: int = 0) -> Circuit:
     the amplitude at (a, 0) is exactly (-1)^f(a). Same classical-bit
     requirement on the answer qubit as decision_transform.
     """
+    prepare = (Gate.x(circuit.num_qubits), Gate.h(circuit.num_qubits))
+    return _copy_answer(circuit, answer_qubit, prepare, prepare[::-1])
+
+
+def _copy_answer(circuit: Circuit, answer_qubit: int, before: tuple[Gate, ...], after: tuple[Gate, ...]) -> Circuit:
+    """The circuit, a CNOT from the answer qubit onto a new last qubit,
+    and the inverse circuit, between the given gates on that qubit."""
     if not 0 <= answer_qubit < circuit.num_qubits:
         raise ValueError("answer qubit out of range")
-    ancilla = circuit.num_qubits
-    gates = [Gate.x(ancilla), Gate.h(ancilla)]
-    gates.extend(circuit.gates)
-    gates.append(Gate.cnot(answer_qubit, ancilla))
-    gates.extend(invert(circuit).gates)
-    gates.append(Gate.h(ancilla))
-    gates.append(Gate.x(ancilla))
-    return Circuit(circuit.num_qubits + 1, tuple(gates), circuit.mode)
+    copy = Gate.cnot(answer_qubit, circuit.num_qubits)
+    gates = (*before, *circuit.gates, copy, *invert(circuit).gates, *after)
+    return Circuit(circuit.num_qubits + 1, gates, circuit.mode)
 
 
 def random_circuit(

@@ -46,7 +46,7 @@ MAX_VERIFY_PAIRS = 4096  # also the most pairs --exhaustive checks: 6 qubits
 
 
 def _read_circuit(path: str) -> Circuit:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_circuit(handle.read())
 
 

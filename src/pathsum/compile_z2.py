@@ -9,14 +9,11 @@ being replaced, and resets the wire to x_j; P(k) adds the term (k, w).
 The wires are then the output system B. compile_circuit XORs the
 indicators into one Z2 phase polynomial, so the amplitude counts
 solutions of B(x) = b split by phase parity; compile_mixed keeps the
-terms as a MixedPhase. Both return a PathSystem.
+terms as a MixedPhase. Both return a PathSystem, which the reduce
+layer in counting solves and sums.
 
-eliminate is the reduce layer for affine outputs (every mixed-mode
-system): Gaussian elimination over Z2 either refutes B(x) = b, making
-the amplitude exactly zero, or substitutes the pivot variables into
-the phase, leaving free variables for the counting kernel. It works on
-the canonical Z8 form of gf2poly (_z8, _substitute), so a mixed
-Reduced.phase is canonical.
+normalize inserts H pairs after TOFFOLIs, and path_count_check checks
+the size bounds that normalized H/TOFFOLI circuits satisfy.
 """
 
 from __future__ import annotations
@@ -34,17 +31,15 @@ from .circuit import (
     format_bits,
     parse_bits,
 )
-from .gf2poly import GF2Poly, MixedPhase, _add_xor, _from_z8, _mask_vars, _substitute, _z8, parse_poly
+from .gf2poly import GF2Poly, MixedPhase, parse_poly
 
 __all__ = [
     "PathSystem",
     "MixedSystem",
-    "Reduced",
     "BoundReport",
     "BoundViolationError",
     "compile_circuit",
     "compile_mixed",
-    "eliminate",
     "normalize",
     "path_count_check",
 ]
@@ -97,93 +92,6 @@ class PathSystem:
 
 
 MixedSystem = PathSystem
-
-
-@dataclass(frozen=True)
-class Reduced:
-    """Result of eliminating the output constraints: the surviving free
-    variables and the phase with all pivot variables substituted away."""
-
-    free_vars: tuple[int, ...]
-    phase: GF2Poly | MixedPhase
-
-
-def eliminate(system: PathSystem, output_bits: Sequence[int]) -> Reduced | None:
-    """Solve the affine system B(x) = b by Gaussian elimination over Z2.
-
-    Returns None when the system is inconsistent (the amplitude is then
-    exactly zero). Otherwise each pivot variable is expressed in the
-    free variables and substituted into every phase indicator, and the
-    indicators are summed into the canonical Z8 phase: a z2 phase comes
-    back as a GF2Poly, a mixed one as its canonical MixedPhase (what
-    canonicalize() returns).
-    """
-    if len(output_bits) != system.num_qubits:
-        raise ValueError("output length must match the qubit count")
-    pivots = _row_reduce(system, tuple(bit & 1 for bit in output_bits))
-    return None if pivots is None else _substitute_pivots(system, pivots)
-
-
-def _row_reduce(system: PathSystem, b: Sequence[int]) -> dict[int, tuple[int, int]] | None:
-    """The row reduction of eliminate: None when B(x) = b is inconsistent,
-    else {pivot variable: (row mask, rhs)}, each row holding its pivot and
-    free variables only. It touches no phase, so a caller can check the
-    free-variable count h - len(pivots) before _substitute_pivots, whose
-    phase can hold a term for every triple of free variables."""
-    # Echelon form: each row's pivot is its lowest variable, and a new row
-    # is reduced only by the pivots it holds, lowest first.
-    pivots: dict[int, tuple[int, int]] = {}
-    pivot_bits = 0
-    for poly, bit in zip(system.outputs, b):
-        mask, rhs = 0, bit
-        for m in poly.masks:  # affine: one-variable monomials, and 0 for the constant 1
-            if m & (m - 1):
-                raise ValueError("output constraints must be affine")
-            mask, rhs = mask | m, rhs ^ (m == 0)
-        while hit := mask & pivot_bits:
-            pmask, prhs = pivots[(hit & -hit).bit_length() - 1]
-            mask ^= pmask
-            rhs ^= prhs
-        if mask == 0:
-            if rhs:
-                return None
-            continue
-        low = mask & -mask
-        pivots[low.bit_length() - 1] = (mask, rhs)
-        pivot_bits |= low
-    # Back-substitute in descending pivot order: the higher rows a row
-    # holds are already reduced, so each hit is cleared once.
-    for var in sorted(pivots, reverse=True):
-        mask, rhs = pivots[var]
-        for other in _mask_vars((mask & pivot_bits) ^ (1 << var)):
-            omask, orhs = pivots[other]
-            mask ^= omask
-            rhs ^= orhs
-        pivots[var] = (mask, rhs)
-    return pivots
-
-
-def _substitute_pivots(system: PathSystem, pivots: dict[int, tuple[int, int]]) -> Reduced:
-    """The substitution of eliminate: each pivot's row into every phase
-    indicator, summed into the canonical Z8 phase."""
-    pivot_bits = sum(1 << var for var in pivots)
-    free_vars = tuple(
-        v for v in range(1, system.num_path_vars + 1) if v not in pivots
-    )
-    # Each pivot is now the XOR of free variables (and 1 when rhs is set).
-    # It goes into each indicator before the indicator's XOR is expanded,
-    # so the expansion is only as long as the substituted indicator.
-    replacements = {
-        var: [1 << w for w in _mask_vars(mask ^ (1 << var))] + [0] * rhs
-        for var, (mask, rhs) in pivots.items()
-    }
-    z2 = isinstance(system.phase, GF2Poly)
-    terms: dict[int, int] = {}
-    for coeff, indicator in ((4, system.phase),) if z2 else system.phase.terms:
-        local = _z8(indicator)
-        _substitute(local, replacements, pivot_bits)
-        _add_xor(terms, coeff, local)
-    return Reduced(free_vars, GF2Poly(terms) if z2 else _from_z8(terms))
 
 
 def _sweep(circuit: Circuit, input_bits: Sequence[int]) -> tuple[int, tuple[GF2Poly, ...], list, BasisString]:

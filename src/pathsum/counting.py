@@ -1,20 +1,23 @@
-"""Exact amplitudes by counting solutions, and the one enumeration kernel.
+"""Exact amplitudes by counting solutions: the reduce layer and the one
+enumeration kernel.
 
 For a compiled system with h path variables, the transition amplitude
 to output b is (#(0) - #(1)) / sqrt(2^h) where #(k) counts the
 assignments x with B(x) = b and phase(x) = k. A mixed-mode phase is
 tallied mod 8 instead, giving CyclotomicValues.
 
-_row is the one pipeline behind count, amplitude, cyclotomic_amplitude
-and the CLI's _amplitude, in both modes. Affine outputs are eliminated,
-then _reduce applies the path-sum rules Elim and [HH] (Amy,
-arXiv:1805.06908) to the canonical Z8 phase (a z2 phase f is 4*f) and
-only the variables it leaves are tallied; other outputs filter a sweep
-over all 2^h paths. In both modes the cap bounds log2 of the
-assignments left for the rules and the kernel: the free variables after
-elimination, checked before the pivots are substituted into the phase,
-or all h where nothing is eliminated (non-affine outputs, distribution
-and count_all, which tally every output in one sweep).
+The reduce layer: eliminate solves affine outputs by Gaussian
+elimination over Z2, which refutes b (an exact zero) or substitutes the
+pivots into the phase; _reduce then applies the path-sum rules Elim and
+[HH] (Amy, arXiv:1805.06908) to the canonical Z8 phase (a z2 phase f is
+4*f), and only the variables it leaves are tallied. Both substitute
+with one _add_substituted. _row is the one pipeline behind count,
+amplitude, cyclotomic_amplitude and the CLI's _amplitude, in both
+modes; outputs that are not affine filter a sweep over all 2^h paths.
+The cap bounds log2 of the assignments left for the rules and the
+kernel: the free variables after elimination, checked once by _row
+(before the substitution) or amplitude_mixed, or all h for a sweep
+(non-affine outputs, distribution and count_all).
 
 _block_tally owns the packed-path format: it packs path indices into
 uint64 words (x_i at bit i, so at most 63 variables) and tallies them
@@ -33,13 +36,13 @@ import warnings
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .circuit import BasisString, Circuit, index_to_bits
-from .compile_z2 import PathSystem, _row_reduce, _substitute_pivots, compile_mixed
-from .gf2poly import GF2Poly, MixedPhase, _mask_vars, _substitute, _z8
+from .compile_z2 import PathSystem, compile_mixed
+from .gf2poly import GF2Poly, MixedPhase, _add_xor, _from_z8, _mask_vars, _z8
 
 __all__ = [
     "DEFAULT_CAP",
@@ -47,6 +50,8 @@ __all__ = [
     "CountPair",
     "RealAmplitude",
     "CyclotomicValue",
+    "Reduced",
+    "eliminate",
     "count",
     "count_all",
     "amplitude",
@@ -168,6 +173,109 @@ def _tally(k: int, outputs: Sequence[GF2Poly], phase, target: Sequence[int] | No
     return _fold(k, work)
 
 
+@dataclass(frozen=True)
+class Reduced:
+    """Result of eliminating the output constraints: the surviving free
+    variables and the phase with all pivot variables substituted away."""
+
+    free_vars: tuple[int, ...]
+    phase: GF2Poly | MixedPhase
+
+
+def eliminate(system: PathSystem, output_bits: Sequence[int]) -> Reduced | None:
+    """Solve the affine system B(x) = b by Gaussian elimination over Z2.
+
+    Returns None when the system is inconsistent (the amplitude is then
+    exactly zero). Otherwise each pivot variable is expressed in the
+    free variables and substituted into every phase indicator, and the
+    indicators are summed into the canonical Z8 phase: a z2 phase comes
+    back as a GF2Poly, a mixed one as its canonical MixedPhase (what
+    canonicalize() returns).
+    """
+    if len(output_bits) != system.num_qubits:
+        raise ValueError("output length must match the qubit count")
+    pivots = _row_reduce(system, tuple(bit & 1 for bit in output_bits))
+    return None if pivots is None else _substitute_pivots(system, pivots)
+
+
+def _row_reduce(system: PathSystem, b: Sequence[int]) -> dict[int, tuple[int, int]] | None:
+    """The row reduction of eliminate: None when B(x) = b is inconsistent,
+    else {pivot variable: (row mask, rhs)}, each row holding its pivot and
+    free variables only. It touches no phase, so a caller can check the
+    free-variable count h - len(pivots) before _substitute_pivots, whose
+    phase can hold a term for every triple of free variables."""
+    # Echelon form: each row's pivot is its lowest variable, and a new row
+    # is reduced only by the pivots it holds, lowest first.
+    pivots: dict[int, tuple[int, int]] = {}
+    pivot_bits = 0
+    for poly, bit in zip(system.outputs, b):
+        mask, rhs = 0, bit
+        for m in poly.masks:  # affine: one-variable monomials, and 0 for the constant 1
+            if m & (m - 1):
+                raise ValueError("output constraints must be affine")
+            mask, rhs = mask | m, rhs ^ (m == 0)
+        while hit := mask & pivot_bits:
+            pmask, prhs = pivots[(hit & -hit).bit_length() - 1]
+            mask ^= pmask
+            rhs ^= prhs
+        if mask == 0:
+            if rhs:
+                return None
+            continue
+        low = mask & -mask
+        pivots[low.bit_length() - 1] = (mask, rhs)
+        pivot_bits |= low
+    # Back-substitute in descending pivot order: the higher rows a row
+    # holds are already reduced, so each hit is cleared once.
+    for var in sorted(pivots, reverse=True):
+        mask, rhs = pivots[var]
+        for other in _mask_vars((mask & pivot_bits) ^ (1 << var)):
+            omask, orhs = pivots[other]
+            mask ^= omask
+            rhs ^= orhs
+        pivots[var] = (mask, rhs)
+    return pivots
+
+
+def _substitute_pivots(system: PathSystem, pivots: dict[int, tuple[int, int]]) -> Reduced:
+    """The substitution of eliminate: each pivot's row into every phase
+    indicator, summed into the canonical Z8 phase."""
+    free_vars = tuple(v for v in range(1, system.num_path_vars + 1) if v not in pivots)
+    # Each pivot is now the XOR of free variables (and 1 when rhs is set).
+    replacements = {
+        var: [1 << w for w in _mask_vars(mask ^ (1 << var))] + [0] * rhs
+        for var, (mask, rhs) in pivots.items()
+    }
+    bits = sum(1 << var for var in pivots)
+    z2 = isinstance(system.phase, GF2Poly)
+    terms: dict[int, int] = {}
+    for coeff, indicator in ((4, system.phase),) if z2 else system.phase.terms:
+        _add_substituted(terms, coeff, indicator.masks, replacements, bits)
+    return Reduced(free_vars, GF2Poly(terms) if z2 else _from_z8(terms))
+
+
+def _add_substituted(
+    acc: dict[int, int], coeff: int, masks: Iterable[int], replacements: Mapping[int, Sequence[int]], bits: int
+) -> None:
+    """Add coeff * 1_[XOR of the masks] to the Z8 map acc after setting each
+    x_var to the XOR of replacements[var]: masks 1 << v of variables not
+    replaced, or 0 for the constant 1. bits is the OR of 1 << var over the
+    variables replaced. Each monomial becomes its products with one
+    replacement mask per replaced variable; products that coincide cancel
+    in the XOR set, which _add_xor then expands once."""
+    xor: set[int] = set()
+    for mask in masks:
+        products = [mask & ~bits]
+        for var in _mask_vars(mask & bits):
+            products = [p | r for p in products for r in replacements[var]]
+        for p in products:
+            if p in xor:
+                xor.remove(p)
+            else:
+                xor.add(p)
+    _add_xor(acc, coeff, xor)
+
+
 def _reduce(phase: GF2Poly | MixedPhase, free_vars: Sequence[int]) -> tuple[int, dict[int, int], tuple[int, ...]] | None:
     """Sum free variables out of sum_y w^phase(y) exactly, by the path-sum
     rules of Amy (arXiv:1805.06908) on the canonical Z8 phase, to a fixed point.
@@ -207,17 +315,18 @@ def _reduce(phase: GF2Poly | MixedPhase, free_vars: Sequence[int]) -> tuple[int,
             return None
         if g:
             y = (g & -g).bit_length() - 1
-            _substitute(terms, {y: [1 << v for v in _mask_vars(g ^ (1 << y))] + [0] * constant}, 1 << y)
+            solved = {y: [1 << v for v in _mask_vars(g ^ (1 << y))] + [0] * constant}
+            for mask in [m for m in terms if m >> y & 1]:
+                _add_substituted(terms, terms.pop(mask), (mask,), solved, 1 << y)
             free.remove(y)
 
 
-def _reduced_row(phase: GF2Poly | MixedPhase, free_vars: Sequence[int], h: int, cap: int) -> list[int]:
+def _reduced_row(phase: GF2Poly | MixedPhase, free_vars: Sequence[int], cap: int) -> list[int]:
     """The tally row of sum_y w^phase(y) over the free variables, at the
     phase's width: _reduce, then the remaining variables relabelled to
-    1..k, tallied and scaled by 2^doublings. The cap bounds the free
-    variables passed in, of the system's h, before the rules run. Exact,
-    so its value equals the unreduced one."""
-    _check_cap(len(free_vars), cap, h)
+    1..k, tallied and scaled by 2^doublings. Exact, so its value equals
+    the unreduced one. Its callers check the cap on the free variables
+    passed in, before the rules run; _tally checks the k left."""
     width = _modulus(phase)
     reduced = _reduce(phase, free_vars)
     if reduced is None:
@@ -252,7 +361,7 @@ def _row(system: PathSystem, output_bits: Sequence[int], cap: int) -> tuple[list
         return [0] * _modulus(system.phase), 0
     _check_cap(h - len(pivots), cap, h)  # the substituted phase can hold a term per triple of free variables
     reduced = _substitute_pivots(system, pivots)
-    return _reduced_row(reduced.phase, reduced.free_vars, h, cap), 1 << len(reduced.free_vars)
+    return _reduced_row(reduced.phase, reduced.free_vars, cap), 1 << len(reduced.free_vars)
 
 
 @dataclass(frozen=True)
@@ -425,7 +534,8 @@ def amplitude_mixed(
         raise ValueError(
             f"phase references non-free variables {sorted(extra)}"
         )
-    return _value(_reduced_row(phase, free_vars, num_hadamards, cap), num_hadamards)
+    _check_cap(len(free_vars), cap, num_hadamards)
+    return _value(_reduced_row(phase, free_vars, cap), num_hadamards)
 
 
 def cyclotomic_amplitude(

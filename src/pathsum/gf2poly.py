@@ -12,11 +12,12 @@ as ``x1`` and graded lexicographic term order, e.g. ``x3 + x2*x4``.
 
 MixedPhase, a sum of (coefficient mod 8, Z2 indicator) terms, is the
 phase of a mixed-mode path sum; a z2 phase f is the mixed phase 4*f.
-The reduce layer works on one form of either phase, the canonical Z8
-map {monomial mask: coefficient mod 8} built by _z8, and substitutes
-into it with _substitute alone. Both add c * 1_[XOR of monomials] to a
-map with _add_xor, a closed-form sum over the monomials, their pairs
-and their triples, since larger subsets weigh 0 mod 8.
+The reduce layer (in counting) works on one form of either phase, the
+canonical Z8 map {monomial mask: coefficient mod 8} built by _z8 and
+read back by _from_z8. Every entry comes from _add_xor, which adds
+c * 1_[XOR of monomials] to a map by a closed-form sum over the
+monomials, their pairs and their triples, since larger subsets weigh
+0 mod 8.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -375,19 +376,3 @@ def _from_z8(terms: Mapping[int, int]) -> MixedPhase:
     kept = sorted(terms.items(), key=lambda kv: _term_key(kv[0]))
     return MixedPhase(tuple((w, GF2Poly((mask,))) for mask, w in kept))
 
-
-def _substitute(terms: dict[int, int], replacements: Mapping[int, Sequence[int]], bits: int) -> None:
-    """Set each x_var := XOR of replacements[var] in a Z8 map, in place;
-    bits is the OR of 1 << var over the variables replaced, and each mask
-    is 1 << v for a variable v not replaced, or 0 for the constant 1.
-
-    A term c * 1_[m] becomes c * 1_[XOR of the products], each product m
-    with every replaced variable swapped for one of its masks, expanded
-    by _add_xor; products that coincide cancel in pairs. Each term is
-    visited once, however many of its variables are replaced.
-    """
-    for mask in [m for m in terms if m & bits]:
-        products: Collection[int] = (mask & ~bits,)
-        for var in _mask_vars(mask & bits):
-            products = GF2Poly(p | r for p in products for r in replacements[var]).masks
-        _add_xor(terms, terms.pop(mask), products)

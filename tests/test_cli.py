@@ -119,6 +119,12 @@ class TestAmplitude:
         assert code == 0
         assert out.strip().endswith("= 1.000000000000")
 
+    def test_byte_order_mark_is_skipped(self, cli, tmp_path):
+        path = tmp_path / "bom.circ"
+        path.write_bytes(b"\xef\xbb\xbfmode z2\nqubits 1\nh 0\nh 0\n")
+        code, out, err = cli("amplitude", str(path), "--in", "0", "--out", "0")
+        assert (code, out, err) == (0, "2/2^(2/2) = 1.000000000000\n", "")
+
     def test_cap_exceeded_exits_3(self, cli):
         code, _, err = cli("amplitude", GOLDEN, "--in", "000", "--out", "000", "--cap", "2")
         assert code == 3

@@ -72,6 +72,31 @@ class TestLayers:
         assert _relative_imports("compile_z2").isdisjoint({"counting", "montecarlo", "cli"})
         assert _relative_imports("counting").isdisjoint({"montecarlo", "cli"})
 
+    def test_the_reduce_layer_lives_in_counting(self):
+        compile_tree = ast.parse((SRC / "compile_z2.py").read_text(encoding="utf-8"))
+        from_gf2poly = {
+            alias.name
+            for node in ast.walk(compile_tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "gf2poly"
+            for alias in node.names
+        }
+        assert from_gf2poly == {"GF2Poly", "MixedPhase", "parse_poly"}
+        gf2poly_tree = ast.parse((SRC / "gf2poly.py").read_text(encoding="utf-8"))
+        functions = [node.name for node in gf2poly_tree.body if isinstance(node, ast.FunctionDef)]
+        assert not [name for name in functions if "substitut" in name]
+        counting_tree = ast.parse((SRC / "counting.py").read_text(encoding="utf-8"))
+        (substitute_pivots,) = [
+            node for node in counting_tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "_substitute_pivots"
+        ]
+        called = {
+            node.func.id
+            for node in ast.walk(substitute_pivots)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert "_add_substituted" in called and "_z8" not in called
+        assert pathsum.eliminate is counting.eliminate and pathsum.Reduced is counting.Reduced
+
     def test_cli_reaches_amplitudes_only_through_the_one_path(self):
         assert not hasattr(counting, "_mixed_amplitude")
         tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))

@@ -5,8 +5,9 @@ _reduce sums variables out of the canonical Z8 phase by Elim and [HH]
 before the kernel enumerates what is left. The reduced results must
 equal, exactly, the unreduced _tally over all 2^h paths of the same
 system, and match the dense simulator. eliminate substitutes its pivots
-into the same Z8 map; its result must equal the object substitution
-it replaced, GF2Poly.substitute per pivot followed by canonicalize.
+into the same Z8 map; its result, and that of the one substitution
+routine _add_substituted, must equal the object substitution it
+replaced, GF2Poly.substitute per pivot followed by canonicalize.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pathsum import (
     Circuit,
@@ -237,3 +239,37 @@ def test_one_substitution_in_the_reduce_layer():
         if path.name != "gf2poly.py" and ".substitute(" in path.read_text(encoding="utf-8")
     ]
     assert callers == []
+
+
+# x1..x3 are the pivots, replaced by affine rows over the free x4..x7.
+_PIVOT_BITS, _FREE = x(1, 2, 3), (4, 5, 6, 7)
+_MASKS = [m << 1 for m in range(128) if m.bit_count() <= 3]  # degree <= 3 over x1..x7
+_PIVOT_PAIRS = [m for m in _MASKS if (m & _PIVOT_BITS).bit_count() >= 2]
+
+
+@st.composite
+def _substitutions(draw):
+    rows = {
+        var: ([1 << w for w in _FREE if draw(st.booleans())], draw(st.booleans()))
+        for var in (1, 2, 3)
+    }
+    masks = draw(st.lists(st.sampled_from(_PIVOT_PAIRS), min_size=2, max_size=5))
+    masks += draw(st.lists(st.sampled_from([0, *_MASKS]), max_size=3))
+    start = draw(st.dictionaries(st.sampled_from([0, *_MASKS]), st.integers(1, 7), min_size=1))
+    return start, draw(st.integers(1, 7)), GF2Poly(masks).masks, rows
+
+
+@given(_substitutions())
+def test_add_substituted_equals_the_object_substitution(drawn):
+    start, coeff, masks, rows = drawn
+    replacements = {var: free + [0] * rhs for var, (free, rhs) in rows.items()}
+    got = dict(start)
+    counting._add_substituted(got, coeff, masks, replacements, _PIVOT_BITS)
+    indicator = GF2Poly(masks)
+    for var, replacement in replacements.items():
+        indicator = indicator.substitute(var, GF2Poly(replacement))
+    expected = dict(start)
+    for c, f in MixedPhase(((coeff, indicator),)).canonicalize().terms:
+        (mask,) = f.masks
+        expected[mask] = (expected.get(mask, 0) + c) % 8
+    assert got == {mask: w for mask, w in expected.items() if w}
