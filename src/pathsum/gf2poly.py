@@ -10,6 +10,14 @@ a factor). The empty mask is the constant monomial 1; the empty
 polynomial is 0. Rendering and parsing use 1-based variable names such
 as ``x1`` and graded lexicographic term order, e.g. ``x3 + x2*x4``.
 
+A product ORs every pair of monomials and keeps the masks that occur an
+odd number of times. GF2Poly.__mul__ has two paths to the same set: a
+set loop that toggles one pair at a time, and, for products of at least
+128 pairs whose masks are all below 2^63, a numpy outer OR over uint64
+masks, sorted so that the odd runs can be kept. The two cross between 64
+and 144 pairs, and at 16,384 pairs numpy takes about 100 ns a pair
+against the loop's 350 ns.
+
 MixedPhase, a sum of (coefficient mod 8, Z2 indicator) terms, is the
 phase of a mixed-mode path sum; a z2 phase f is the mixed phase 4*f.
 The reduce layer (in counting) works on one form of either phase, the
@@ -44,6 +52,41 @@ def _term_key(mask: int) -> tuple[int, tuple[int, ...]]:
     """Graded lex sort key: degree first, then variable indices."""
     indices = tuple(_mask_vars(mask))
     return (len(indices), indices)
+
+
+_NUMPY_PAIRS = 128
+_BLOCK_PAIRS = 1 << 20
+
+
+def _odd_runs(values: np.ndarray) -> np.ndarray:
+    """Sort values in place and return, sorted, those that occur an odd
+    number of times."""
+    values.sort()
+    edges = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1], [True])))
+    return values[edges[:-1][np.diff(edges) & 1 == 1]]
+
+
+def _odd_products(a: Collection[int], b: Collection[int]) -> frozenset[int]:
+    """The masks m1 | m2 (m1 in a, m2 in b) that occur an odd number of
+    times; every mask must be below 2^63.
+
+    The outer OR is taken in blocks of rows of the larger operand, of at
+    most _BLOCK_PAIRS (2^20) pairs while the smaller operand has at most
+    that many terms, and each block's odd survivors are folded into the
+    sorted result by symmetric difference. Memory is one block plus the
+    survivors not yet cancelled, where one outer product of two
+    20,000-term wires would take 3.2 GB.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    left = np.fromiter(a, np.uint64, len(a))
+    right = np.fromiter(b, np.uint64, len(b))
+    rows = max(1, _BLOCK_PAIRS // len(right))
+    acc = _odd_runs(np.bitwise_or.outer(left[:rows], right).ravel())
+    for start in range(rows, len(left), rows):
+        block = _odd_runs(np.bitwise_or.outer(left[start:start + rows], right).ravel())
+        acc = _odd_runs(np.concatenate((acc, block)))
+    return frozenset(acc.tolist())
 
 
 class GF2Poly:
@@ -164,12 +207,25 @@ class GF2Poly:
     __xor__ = __add__
 
     def __mul__(self, other: object) -> GF2Poly:
+        """The product: every pair of monomials ORed, kept when it occurs
+        an odd number of times.
+
+        From _NUMPY_PAIRS (128) pairs on, when every mask is below 2^63,
+        _odd_products takes the pairs as a numpy outer OR; otherwise a
+        set loop toggles each pair in turn. Per product, on 2 cores with
+        random 40-bit masks: 4 pairs take 1.3 us in the loop and 14 us in
+        numpy, 64 pairs 16-21 against 15-17 us, 144 pairs 36-47 against
+        19-23 us, and 16,384 pairs 5.6-5.9 against 1.6 ms.
+        """
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        a, b = self._masks, rhs._masks
+        if len(a) * len(b) >= _NUMPY_PAIRS and not (max(a) | max(b)) >> 63:
+            return GF2Poly._raw(_odd_products(a, b))
         acc: set[int] = set()
-        for m1 in self._masks:
-            for m2 in rhs._masks:
+        for m1 in a:
+            for m2 in b:
                 acc.symmetric_difference_update((m1 | m2,))
         return GF2Poly._raw(frozenset(acc))
 

@@ -2,9 +2,10 @@
 
 The oracles here deliberately avoid the library's vectorized kernels:
 counting is redone with a per-assignment Python loop over scalar
-polynomial evaluation, and mixed amplitudes are tallied without Gaussian
-elimination. Agreement between these and the production code paths is
-what the correctness tests assert.
+polynomial evaluation, mixed amplitudes are tallied without Gaussian
+elimination, and polynomials are multiplied by a set loop that toggles
+one monomial pair at a time. Agreement between these and the production
+code paths is what the correctness tests assert.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathsum import (
     Circuit,
     CountPair,
     CyclotomicValue,
+    GF2Poly,
     PathSystem,
     compile_mixed,
     parse_circuit,
@@ -34,6 +36,15 @@ def golden_circuit() -> Circuit:
 
 def random_bits(rng: np.random.Generator, n: int) -> tuple[int, ...]:
     return tuple(int(bit) for bit in rng.integers(0, 2, size=n))
+
+
+def set_loop_product(p: GF2Poly, q: GF2Poly) -> GF2Poly:
+    """Reference product: toggle m1 | m2 for every pair of monomials."""
+    acc: set[int] = set()
+    for m1 in p.masks:
+        for m2 in q.masks:
+            acc.symmetric_difference_update((m1 | m2,))
+    return GF2Poly(acc)
 
 
 def naive_count(system: PathSystem, output_bits) -> CountPair:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from pathsum import (
     all_basis_strings,
     bits_to_index,
     compile_circuit,
+    count_all,
+    gf2poly,
     normalize,
     parse_circuit,
     path_count_check,
@@ -25,7 +28,7 @@ from pathsum import (
     simulate,
 )
 
-from conftest import random_bits
+from conftest import random_bits, set_loop_product
 
 
 def var(i: int) -> GF2Poly:
@@ -196,3 +199,26 @@ class TestSerialization:
     def test_json_round_trip(self, golden_circuit):
         ps = compile_circuit(golden_circuit, (0, 1, 0))
         assert PathSystem.from_dict(json.loads(ps.to_json())) == ps
+
+
+class TestVectorisedProduct:
+    def test_compiled_systems_match_the_set_loop_and_refsim(self, monkeypatch):
+        # TOFFOLI chains without normalize: wire products reach the numpy path.
+        rng = np.random.default_rng(13)
+        kinds = (GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.H)
+        cases = [
+            (random_circuit(8, 200, Mode.Z2, rng, max_hadamards=10, kinds=kinds), random_bits(rng, 8))
+            for _ in range(8)
+        ]
+        vectorised = []
+        odd_products = gf2poly._odd_products
+        monkeypatch.setattr(gf2poly, "_odd_products", lambda a, b: vectorised.append(1) or odd_products(a, b))
+        systems = [compile_circuit(circuit, a) for circuit, a in cases]
+        assert len(vectorised) > 100
+        monkeypatch.setattr(GF2Poly, "__mul__", set_loop_product)
+        assert [compile_circuit(circuit, a) for circuit, a in cases] == systems
+        for (circuit, a), system in zip(cases, systems):
+            amps = np.zeros(1 << 8)
+            for bits, pair in count_all(system).items():
+                amps[bits_to_index(bits)] = pair.gap / math.sqrt(2.0**pair.h)
+            assert np.abs(amps - simulate(circuit, a)).max() < 1e-9

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pathsum import GF2Poly, parse_poly
+from pathsum import GF2Poly, gf2poly, parse_poly
+
+from conftest import set_loop_product
 
 
 def poly_of(*terms):
@@ -202,3 +205,76 @@ class TestRingAxioms:
         for point in range(64):
             patched = (point & ~(1 << var)) | (r.evaluate_mask(point) << var)
             assert s.evaluate_mask(point) == p.evaluate_mask(patched)
+
+
+@st.composite
+def product_operands(draw):
+    """Two operands of 0-64 masks over 4-12 variables, so products fall
+    on both sides of the 128-pair threshold and many pairs OR to the
+    same mask; sometimes one operand gains a mask of 2^63 or more."""
+    masks = st.integers(0, (1 << draw(st.integers(4, 12))) - 1)
+    left, right = (
+        draw(st.lists(masks, min_size=size, max_size=size))
+        for size in draw(st.tuples(st.integers(0, 64), st.integers(0, 64)))
+    )
+    if draw(st.booleans()):
+        left.append(draw(st.integers(1 << 63, (1 << 80) - 1)))
+    if draw(st.booleans()):
+        left, right = right, left
+    return GF2Poly(left), GF2Poly(right)
+
+
+class TestProduct:
+    """Both paths of GF2Poly.__mul__ against the set loop in conftest."""
+
+    @given(product_operands())
+    def test_product_equals_the_set_loop(self, operands):
+        p, q = operands
+        assert p * q == set_loop_product(p, q)
+
+    U, V = 0b01, 0b10
+
+    @pytest.mark.parametrize(
+        "left, right, kept",
+        [
+            ((U, U | V), (V,), False),  # x0*x1 twice: cancels
+            ((U, V, U | V), (U | V,), True),  # x0*x1 three times: kept
+        ],
+    )
+    def test_repeated_products_keep_their_parity(self, left, right, kept):
+        pad = [1 << bit for bit in range(8, 24)]
+        p, q = GF2Poly([*left, *pad]), GF2Poly([*right, *pad])
+        assert len(p) * len(q) >= 128
+        product = p * q
+        assert product == set_loop_product(p, q)
+        assert ((self.U | self.V) in product.masks) is kept
+
+    def test_dispatch_on_pair_count_and_mask_width(self, monkeypatch):
+        vectorised = []
+        odd_products = gf2poly._odd_products
+        monkeypatch.setattr(
+            gf2poly, "_odd_products", lambda a, b: vectorised.append(len(a) * len(b)) or odd_products(a, b)
+        )
+        sixteen = GF2Poly(range(16))
+        eight = GF2Poly(range(1, 9))
+        wide = GF2Poly([*range(1, 8), 1 << 63])
+        for p, q in [(sixteen, eight), (sixteen, GF2Poly(range(1, 8))), (sixteen, wide), (wide, sixteen)]:
+            assert p * q == set_loop_product(p, q)
+        assert vectorised == [128]  # 112 pairs and the wide operand take the set loop
+
+    def test_blocked_product_bounds_memory(self):
+        # All 4,096 subsets of 12 variables spread below bit 62. A * A = A,
+        # and every partial sum stays inside A, so the peak is the blocks':
+        # one unblocked outer product of the 16.7 M pairs takes 134 MB.
+        spread = [5 * i + 2 for i in range(12)]
+        a = GF2Poly(
+            sum(1 << bit for j, bit in enumerate(spread) if subset >> j & 1) for subset in range(1 << 12)
+        )
+        tracemalloc.start()
+        try:
+            product = a * a
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert product == a
+        assert peak < 48_000_000
