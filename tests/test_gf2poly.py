@@ -262,6 +262,25 @@ class TestProduct:
             assert p * q == set_loop_product(p, q)
         assert vectorised == [128]  # 112 pairs and the wide operand take the set loop
 
+    @given(product_operands())
+    def test_runs_of_many_blocks_merge_to_the_set_loop(self, operands):
+        # With 16-pair blocks a product of up to 4,096 pairs makes up to
+        # 256 runs, many of them empty, for the binary-counter merge.
+        p, q = operands
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gf2poly, "_BLOCK_PAIRS", 16)
+            assert p * q == set_loop_product(p, q)
+
+    def test_blocks_that_cancel_entirely_give_zero(self):
+        # x0 * (1 + x0) = 0 over Z2, so x0*Q times (1 + x0)*Q' cancels in
+        # every row: both blocks of its 2^21 pairs leave empty runs.
+        rng = np.random.default_rng(21)
+        q, q2 = (np.unique(rng.integers(0, 1 << 40, 3 * size))[:size].tolist() for size in (2048, 512))
+        p = GF2Poly(1 | m << 1 for m in q)
+        r = GF2Poly(m << 1 | bit for m in q2 for bit in (0, 1))
+        assert len(p) * len(r) == 2 * gf2poly._BLOCK_PAIRS
+        assert p * r == set_loop_product(p, r) == GF2Poly.zero()
+
     def test_blocked_product_bounds_memory(self):
         # All 4,096 subsets of 12 variables spread below bit 62. A * A = A,
         # and every partial sum stays inside A, so the peak is the blocks':
