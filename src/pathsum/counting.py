@@ -11,13 +11,20 @@ elimination over Z2, which refutes b (an exact zero) or substitutes the
 pivots into the phase; _reduce then applies the path-sum rules Elim and
 [HH] (Amy, arXiv:1805.06908) to the canonical Z8 phase (a z2 phase f is
 4*f), and only the variables it leaves are tallied. Both substitute
-with one _add_substituted. _row is the one pipeline behind count,
-amplitude, cyclotomic_amplitude and the CLI's _amplitude, in both
-modes; outputs that are not affine filter a sweep over all 2^h paths.
-The cap bounds log2 of the assignments left for the rules and the
-kernel: the free variables after elimination, checked once by _row
-(before the substitution) or amplitude_mixed, or all h for a sweep
-(non-affine outputs, distribution and count_all).
+with the one product loop of _substituted. The output matrix does not
+depend on b: a system's first elimination solves it at b and records
+its rank on the system, and its second builds an _Echelon (the rows
+reduced once with symbolic right-hand sides, the phase substituted
+once), kept in the system's __dict__ and freed with it, which every
+later output only restricts: a parity check per vanished row, then a
+filter of the substituted products. _row is the one pipeline behind
+count, amplitude, cyclotomic_amplitude and the CLI's _amplitude, in
+both modes; outputs that are not affine filter a sweep over all 2^h
+paths. The cap bounds log2 of the assignments left for the rules and
+the kernel: the free variables after elimination, checked once by _row
+(before the substitution; a rank it refuses builds no _Echelon) or
+amplitude_mixed, or all h for a sweep (non-affine outputs,
+distribution and count_all).
 
 _block_tally owns the packed-path format: it packs path indices into
 uint64 words (x_i at bit i, so at most 63 variables) and tallies them
@@ -182,6 +189,12 @@ class Reduced:
     phase: GF2Poly | MixedPhase
 
 
+# Key of a system's elimination state in vars(system), so that the state is
+# freed with the system: the rank after its first elimination, then an
+# _Echelon. Threads that race to build it build equal ones; either is kept.
+_ECHELON = "_echelon"
+
+
 def eliminate(system: PathSystem, output_bits: Sequence[int]) -> Reduced | None:
     """Solve the affine system B(x) = b by Gaussian elimination over Z2.
 
@@ -191,36 +204,79 @@ def eliminate(system: PathSystem, output_bits: Sequence[int]) -> Reduced | None:
     indicators are summed into the canonical Z8 phase: a z2 phase comes
     back as a GF2Poly, a mixed one as its canonical MixedPhase (what
     canonicalize() returns).
+
+    The first elimination of a system substitutes b's pivots directly
+    and records the rank in the system's __dict__. The second builds the
+    system's _Echelon there: its free variables, the right-hand side of
+    each vanished row and of each pivot in the phase as the output
+    positions it depends on, and the phase substituted once into XOR
+    sets of products. That call and every later one restrict the
+    _Echelon to b. It lives as long as the system; an error (a wrong
+    length of b, an output that is not affine) records nothing.
     """
     if len(output_bits) != system.num_qubits:
         raise ValueError("output length must match the qubit count")
-    pivots = _row_reduce(system, tuple(bit & 1 for bit in output_bits))
-    return None if pivots is None else _substitute_pivots(system, pivots)
+    return _eliminate(system, tuple(bit & 1 for bit in output_bits))
 
 
-def _row_reduce(system: PathSystem, b: Sequence[int]) -> dict[int, tuple[int, int]] | None:
-    """The row reduction of eliminate: None when B(x) = b is inconsistent,
-    else {pivot variable: (row mask, rhs)}, each row holding its pivot and
-    free variables only. It touches no phase, so a caller can check the
-    free-variable count h - len(pivots) before _substitute_pivots, whose
-    phase can hold a term for every triple of free variables."""
+def _eliminate(system: PathSystem, b: tuple[int, ...], cap: int | None = None) -> Reduced | None:
+    """eliminate at the bits b, with the cap, when one is given, checked on
+    the free variables before the phase is substituted. No _Echelon is
+    built while the cap refuses the system's rank: each call then takes
+    the first elimination's path, which refutes b or raises."""
+    h = system.num_path_vars
+    state = vars(system).get(_ECHELON)
+    if isinstance(state, int) and (cap is None or h - state <= cap):
+        state = vars(system)[_ECHELON] = _Echelon(system)
+    if isinstance(state, _Echelon):
+        word = (1, *b)
+        if state.refutes(word):
+            return None
+        if cap is not None:
+            _check_cap(len(state.free_vars), cap, h)
+        return state.restrict(word)
+    pivots, checks = _row_reduce(system, b)
+    vars(system)[_ECHELON] = len(pivots)  # the rank, which does not depend on b
+    if checks:
+        return None
+    if cap is not None:
+        _check_cap(h - len(pivots), cap, h)  # the substituted phase can hold a term per triple of free variables
+    return _substitute_pivots(system, pivots)
+
+
+def _row_reduce(system: PathSystem, seeds: Iterable[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """The row reduction of eliminate, with output j's right-hand side
+    seeded by the j-th seed: the bit b_j, or the dependency mask
+    1 << (j + 1) that keeps it symbolic (bit 0 then stands for the
+    constant 1).
+
+    Returns {pivot variable: (row mask, rhs)}, each row holding its pivot
+    and free variables only, and the nonzero rhs of the rows that
+    vanished: B(x) = b is consistent iff each of those is 0 at b. It
+    touches no phase, so a caller can check the free-variable count
+    h - len(pivots) before substituting, whose phase can hold a term for
+    every triple of free variables."""
     # Echelon form: each row's pivot is its lowest variable, and a new row
     # is reduced only by the pivots it holds, lowest first.
     pivots: dict[int, tuple[int, int]] = {}
+    checks: list[int] = []
     pivot_bits = 0
-    for poly, bit in zip(system.outputs, b):
-        mask, rhs = 0, bit
+    for poly, rhs in zip(system.outputs, seeds):
+        mask = 0
         for m in poly.masks:  # affine: one-variable monomials, and 0 for the constant 1
             if m & (m - 1):
                 raise ValueError("output constraints must be affine")
-            mask, rhs = mask | m, rhs ^ (m == 0)
+            if m:
+                mask = mask | m if mask else m  # a one-variable row shares its output's int
+            else:
+                rhs ^= 1
         while hit := mask & pivot_bits:
             pmask, prhs = pivots[(hit & -hit).bit_length() - 1]
             mask ^= pmask
             rhs ^= prhs
         if mask == 0:
             if rhs:
-                return None
+                checks.append(rhs)
             continue
         low = mask & -mask
         pivots[low.bit_length() - 1] = (mask, rhs)
@@ -234,7 +290,18 @@ def _row_reduce(system: PathSystem, b: Sequence[int]) -> dict[int, tuple[int, in
             mask ^= omask
             rhs ^= orhs
         pivots[var] = (mask, rhs)
-    return pivots
+    return pivots, checks
+
+
+def _indicators(phase: GF2Poly | MixedPhase) -> Iterable[tuple[int, GF2Poly]]:
+    """The (Z8 coefficient, indicator) terms of a phase; a z2 phase f is 4*f."""
+    return ((4, phase),) if isinstance(phase, GF2Poly) else phase.terms
+
+
+def _canonical(terms: dict[int, int], z2: bool) -> GF2Poly | MixedPhase:
+    """The phase of a Z8 map in eliminate's form: a GF2Poly for a z2
+    phase (every weight is 4), else the canonical MixedPhase."""
+    return GF2Poly(terms) if z2 else _from_z8(terms)
 
 
 def _substitute_pivots(system: PathSystem, pivots: dict[int, tuple[int, int]]) -> Reduced:
@@ -247,22 +314,99 @@ def _substitute_pivots(system: PathSystem, pivots: dict[int, tuple[int, int]]) -
         for var, (mask, rhs) in pivots.items()
     }
     bits = sum(1 << var for var in pivots)
-    z2 = isinstance(system.phase, GF2Poly)
     terms: dict[int, int] = {}
-    for coeff, indicator in ((4, system.phase),) if z2 else system.phase.terms:
+    for coeff, indicator in _indicators(system.phase):
         _add_substituted(terms, coeff, indicator.masks, replacements, bits)
-    return Reduced(free_vars, GF2Poly(terms) if z2 else _from_z8(terms))
+    return Reduced(free_vars, _canonical(terms, isinstance(system.phase, GF2Poly)))
+
+
+class _Echelon:
+    """A system's outputs row-reduced once, with every right-hand side kept
+    as a dependency mask, and its phase substituted once.
+
+    In the substitution each pivot's own bit stands for its rhs: pivot v
+    becomes the XOR of its row's free variables and x_v, so every phase
+    term is one XOR set of products over the free variables and the
+    pivot bits. At an output b, rhs_v is the parity of its dependency
+    mask at b; a product survives when every pivot bit it holds has rhs
+    1, and loses those bits. What is kept is only what that needs: the
+    free variables, the dependencies of the vanished rows and of the
+    pivots in the phase, as tuples of output positions (0 for the
+    constant), the XOR sets that hold a pivot bit, and the Z8 map of
+    the rest, which is the same at every b. The pivot rows are dropped.
+    """
+
+    __slots__ = ("free_vars", "checks", "pivots", "strip", "fixed", "sets", "z2")
+
+    def __init__(self, system: PathSystem) -> None:
+        rows, checks = _row_reduce(system, (1 << j for j in range(1, system.num_qubits + 1)))
+        support = system.phase.support()
+        # x_v's row mask holds v and its free variables: the replacement of x_v.
+        replacements = {var: [1 << w for w in _mask_vars(mask)] for var, (mask, _) in rows.items() if var in support}
+        bits = sum(1 << var for var in replacements)
+        self.free_vars = tuple(v for v in range(1, system.num_path_vars + 1) if v not in rows)
+        self.checks = [tuple(_mask_vars(dep)) for dep in checks]
+        self.pivots = [(1 << var, tuple(_mask_vars(rows[var][1]))) for var in replacements]
+        self.strip = ~bits
+        # Sets with no pivot bit are the same at every b: summed once into
+        # fixed. 4 * 1_[XOR of S] is 4 * (sum of S) mod 8, so the sets of
+        # coefficient 4 merge into one, whose products split the same way.
+        self.fixed: dict[int, int] = {}
+        self.sets: list[tuple[int, tuple[int, ...]]] = []
+        fours: set[int] = set()
+        for coeff, indicator in _indicators(system.phase):
+            xor = _substituted(indicator.masks, replacements, bits)
+            if coeff == 4:
+                fours ^= xor
+            elif any(p & bits for p in xor):
+                self.sets.append((coeff, tuple(xor)))
+            else:
+                _add_xor(self.fixed, coeff, xor)
+        _add_xor(self.fixed, 4, [p for p in fours if not p & bits])
+        held = tuple(p for p in fours if p & bits)
+        if held:
+            self.sets.append((4, held))
+        self.z2 = isinstance(system.phase, GF2Poly)
+
+    def refutes(self, word: tuple[int, ...]) -> bool:
+        """Whether B(x) = b is inconsistent, for word = (1, *b)."""
+        return any(sum(map(word.__getitem__, dep)) & 1 for dep in self.checks)
+
+    def restrict(self, word: tuple[int, ...]) -> Reduced:
+        """eliminate's Reduced at a consistent b, for word = (1, *b)."""
+        off = 0  # the pivot bits whose rhs is 0 at b
+        for bit, dep in self.pivots:
+            if not sum(map(word.__getitem__, dep)) & 1:
+                off |= bit
+        strip = self.strip
+        terms = dict(self.fixed)
+        for coeff, products in self.sets:
+            xor: set[int] = set()
+            for p in products:
+                if not p & off:
+                    p &= strip
+                    if p in xor:
+                        xor.remove(p)
+                    else:
+                        xor.add(p)
+            _add_xor(terms, coeff, xor)
+        return Reduced(self.free_vars, _canonical(terms, self.z2))
 
 
 def _add_substituted(
     acc: dict[int, int], coeff: int, masks: Iterable[int], replacements: Mapping[int, Sequence[int]], bits: int
 ) -> None:
     """Add coeff * 1_[XOR of the masks] to the Z8 map acc after setting each
-    x_var to the XOR of replacements[var]: masks 1 << v of variables not
-    replaced, or 0 for the constant 1. bits is the OR of 1 << var over the
-    variables replaced. Each monomial becomes its products with one
-    replacement mask per replaced variable; products that coincide cancel
-    in the XOR set, which _add_xor then expands once."""
+    x_var to the XOR of replacements[var], by _substituted and _add_xor."""
+    _add_xor(acc, coeff, _substituted(masks, replacements, bits))
+
+
+def _substituted(masks: Iterable[int], replacements: Mapping[int, Sequence[int]], bits: int) -> set[int]:
+    """The XOR set of the masks after setting each x_var to the XOR of
+    replacements[var]: masks 1 << v of variables not replaced, or 0 for
+    the constant 1. bits is the OR of 1 << var over the variables
+    replaced. Each monomial becomes its products with one replacement
+    mask per replaced variable; products that coincide cancel."""
     xor: set[int] = set()
     for mask in masks:
         products = [mask & ~bits]
@@ -273,7 +417,7 @@ def _add_substituted(
                 xor.remove(p)
             else:
                 xor.add(p)
-    _add_xor(acc, coeff, xor)
+    return xor
 
 
 def _reduce(phase: GF2Poly | MixedPhase, free_vars: Sequence[int]) -> tuple[int, dict[int, int], tuple[int, ...]] | None:
@@ -343,10 +487,12 @@ def _reduced_row(phase: GF2Poly | MixedPhase, free_vars: Sequence[int], cap: int
 def _row(system: PathSystem, output_bits: Sequence[int], cap: int) -> tuple[list[int], int]:
     """Output b's tally row at the phase's width, and the paths reaching b.
 
-    Affine outputs are eliminated (an inconsistent B(x) = b reaches no
-    path) and the rest reduced by _reduced_row; other outputs filter the
-    sweep over all 2^h paths. After reduction the row keeps its value
-    but its entries are no longer path counts.
+    Affine outputs are eliminated by _eliminate, as eliminate does it, so
+    the system keeps its _Echelon from its second output on (an
+    inconsistent B(x) = b reaches no path), and the rest reduced by
+    _reduced_row; other outputs filter the sweep over all 2^h paths.
+    After reduction the row keeps its value but its entries are no
+    longer path counts.
     """
     if len(output_bits) != system.num_qubits:
         raise ValueError("output length must match the qubit count")
@@ -356,11 +502,9 @@ def _row(system: PathSystem, output_bits: Sequence[int], cap: int) -> tuple[list
     if any(poly.degree > 1 for poly in system.outputs):
         (row,) = _tally(h, system.outputs, system.phase, b, cap).tolist()
         return row, sum(row)
-    pivots = _row_reduce(system, b)
-    if pivots is None:
+    reduced = _eliminate(system, b, cap)
+    if reduced is None:
         return [0] * _modulus(system.phase), 0
-    _check_cap(h - len(pivots), cap, h)  # the substituted phase can hold a term per triple of free variables
-    reduced = _substitute_pivots(system, pivots)
     return _reduced_row(reduced.phase, reduced.free_vars, cap), 1 << len(reduced.free_vars)
 
 

@@ -85,16 +85,26 @@ class TestLayers:
         functions = [node.name for node in gf2poly_tree.body if isinstance(node, ast.FunctionDef)]
         assert not [name for name in functions if "substitut" in name]
         counting_tree = ast.parse((SRC / "counting.py").read_text(encoding="utf-8"))
-        (substitute_pivots,) = [
-            node for node in counting_tree.body
-            if isinstance(node, ast.FunctionDef) and node.name == "_substitute_pivots"
-        ]
-        called = {
-            node.func.id
-            for node in ast.walk(substitute_pivots)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        definitions = {
+            node.name: node for node in ast.walk(counting_tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         }
-        assert "_add_substituted" in called and "_z8" not in called
+
+        def called(name: str) -> set[str]:
+            return {
+                node.func.id
+                for node in ast.walk(definitions[name])
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            }
+
+        assert "_add_substituted" in called("_substitute_pivots") and "_z8" not in called("_substitute_pivots")
+        # The symbolic substitution of an _Echelon runs the same product loop,
+        # and its restriction the same XOR expansion, as _add_substituted.
+        assert {"_substituted", "_add_xor"} <= called("_add_substituted")
+        assert "_substituted" in called("_Echelon") and "_z8" not in called("_Echelon")
+        assert "_add_xor" in called("restrict")
+        products = [node.name for node in definitions.values() if "products = [" in ast.unparse(node)]
+        assert products == ["_substituted"]
         assert pathsum.eliminate is counting.eliminate and pathsum.Reduced is counting.Reduced
 
     def test_cli_reaches_amplitudes_only_through_the_one_path(self):

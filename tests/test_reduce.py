@@ -7,11 +7,15 @@ equal, exactly, the unreduced _tally over all 2^h paths of the same
 system, and match the dense simulator. eliminate substitutes its pivots
 into the same Z8 map; its result, and that of the one substitution
 routine _add_substituted, must equal the object substitution it
-replaced, GF2Poly.substitute per pivot followed by canonicalize.
+replaced, GF2Poly.substitute per pivot followed by canonicalize. From
+a system's second elimination on, eliminate restricts the system's
+_Echelon instead; at every output, in any order, that must equal the
+object substitution too, and the amplitudes the dense simulator.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
@@ -23,9 +27,11 @@ from pathsum import (
     Circuit,
     CountPair,
     Gate,
+    GateKind,
     GF2Poly,
     MixedPhase,
     Mode,
+    all_basis_strings,
     amplitude,
     amplitude_mixed,
     compile_circuit,
@@ -228,6 +234,123 @@ def test_eliminate_equals_the_object_substitution_in_both_modes():
                 seen[mode, "pivots"] += len(pivots)
     for mode in ("z2", "mixed"):
         assert seen[mode, "refuted"] and seen[mode, "constant pivot"] and seen[mode, "pivots"], seen
+
+
+def _with_quiet_wires(rng, mode: Mode) -> tuple[Circuit, tuple[int, ...]]:
+    """A random circuit of at most 6 qubits and an input. Its quiet wires
+    see only X and CNOT, so they get no path variable of their own: their
+    outputs are constants or XORs of other wires, rows that often vanish
+    in elimination and become checks."""
+    n = int(rng.integers(1, 7))
+    quiet = set(rng.choice(n, size=int(rng.integers(0, n)), replace=False).tolist())
+    drawn = random_circuit(n, 24, mode, rng, max_hadamards=12)
+    linear = (GateKind.X, GateKind.CNOT)
+    gates = tuple(g for g in drawn.gates if g.kind in linear or quiet.isdisjoint(g.qubits))
+    circuit = Circuit(n, gates, mode)
+    return normalize(circuit) if mode is Mode.Z2 else circuit, random_bits(rng, n)
+
+
+def test_every_elimination_of_a_system_equals_the_object_substitution():
+    rng = np.random.default_rng(1616)
+    seen = Counter()
+    for trial in range(80):
+        mode = (Mode.Z2, Mode.MIXED)[trial % 2]
+        circuit, a = _with_quiet_wires(rng, mode)
+        system = (compile_circuit if mode is Mode.Z2 else compile_mixed)(circuit, a)
+        outputs = list(all_basis_strings(circuit.num_qubits))
+        rng.shuffle(outputs)
+        for call, b in enumerate(outputs):
+            reduced, expected = eliminate(system, b), _object_eliminate(system, b)
+            state = vars(system)[counting._ECHELON]
+            assert isinstance(state, int) if call == 0 else isinstance(state, counting._Echelon)
+            assert reduced == eliminate(dataclasses.replace(system), b)  # a fresh system's first elimination
+            if expected is None:
+                assert reduced is None
+                seen[mode, "refuted"] += 1
+                continue
+            free, phase, pivots = expected
+            assert reduced.free_vars == free and type(reduced.phase) is type(phase)
+            assert reduced.phase == phase
+            seen[mode, min(call, 2)] += 1
+            seen[mode, "constant pivot"] += any(rhs for _, rhs in pivots.values())
+        if circuit.num_qubits > 1:
+            state = vars(system)[counting._ECHELON]
+            seen[mode, "checks"] += len(state.checks)
+            seen[mode, "constant output"] += any(p.degree == 0 for p in system.outputs)
+    for mode in (Mode.Z2, Mode.MIXED):
+        for kind in ("refuted", 0, 1, 2, "constant pivot", "checks", "constant output"):
+            assert seen[mode, kind], (mode, kind, seen)
+
+
+def test_amplitudes_of_every_output_from_one_system_match_the_simulator():
+    rng = np.random.default_rng(1717)
+    for trial in range(40):
+        mode = (Mode.Z2, Mode.MIXED)[trial % 2]
+        circuit, a = _with_quiet_wires(rng, mode)
+        state = simulate(circuit, a)
+        n = circuit.num_qubits
+        if mode is Mode.Z2:
+            system = compile_circuit(circuit, a)
+            for b in all_basis_strings(n):
+                pair = count(system, b)
+                assert abs(pair.gap / np.sqrt(2.0**pair.h) - state[bits_to_index(b)]) < 1e-9
+        else:
+            system = compile_mixed(circuit, a)
+            for b in all_basis_strings(n):
+                value = counting._amplitude(system, b, counting.DEFAULT_CAP)
+                assert value == cyclotomic_amplitude(circuit, a, b)
+                assert abs(value.as_complex() - state[bits_to_index(b)]) < 1e-9
+        assert isinstance(vars(system)[counting._ECHELON], counting._Echelon) or n == 1
+
+
+def test_output_bits_are_read_mod_2_on_every_call():
+    rng = np.random.default_rng(1818)
+    for mode in (Mode.Z2, Mode.MIXED):
+        circuit, a = _with_quiet_wires(rng, mode)
+        system = (compile_circuit if mode is Mode.Z2 else compile_mixed)(circuit, a)
+        for _ in range(4):
+            b = random_bits(rng, circuit.num_qubits)
+            wide = tuple(bit + 2 * int(rng.integers(0, 2)) for bit in b)  # 2 reads as 0, 3 as 1
+            assert eliminate(system, wide) == eliminate(system, b)
+            if mode is Mode.Z2:
+                assert count(system, wide) == count(system, b)
+            else:
+                assert counting._amplitude(system, wide, 30) == counting._amplitude(system, b, 30)
+
+
+def test_errors_leave_no_elimination_state():
+    # q0 is the constant 1, so b = 0 is refuted by its row; q3 = x1*x2 is not affine.
+    gates = (Gate.x(0), Gate.h(1), Gate.h(2), Gate.toffoli(1, 2, 3))
+    system = compile_circuit(Circuit(4, gates, Mode.Z2), (0, 0, 0, 0))
+    for b in ((0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="output constraints must be affine"):
+            eliminate(system, b)
+        assert counting._ECHELON not in vars(system)
+
+    h_layer = Circuit(3, (Gate.h(0), Gate.h(1), Gate.cnot(0, 2)), Mode.MIXED)
+    system = compile_mixed(h_layer, (0, 0, 1))
+    with pytest.raises(ValueError, match="output length"):
+        eliminate(system, (0, 0))
+    assert counting._ECHELON not in vars(system)
+    for b in all_basis_strings(3):  # the first call, the second, and later ones
+        assert eliminate(system, b) == eliminate(dataclasses.replace(system), b)
+        with pytest.raises(ValueError, match="output length"):
+            eliminate(system, (0, 0, 0, 0))
+    assert eliminate(system, (1, 0, 1)) is None  # output 2 is output 0 flipped
+    assert eliminate(system, (1, 1, 0)).free_vars == ()
+
+
+def test_a_refused_rank_builds_no_echelon(monkeypatch):
+    # Two H per qubit: eliminating the outputs leaves 3 of the 6 variables free.
+    system = compile_mixed(Circuit(3, tuple(Gate.h(q) for q in range(3)) * 2, Mode.MIXED), (0, 0, 0))
+    for b in all_basis_strings(3):
+        with pytest.raises(counting.CapExceededError):
+            counting._row(system, b, 2)
+        assert vars(system)[counting._ECHELON] == 3
+    assert counting._row(system, (0, 0, 0), 3) == ([8, 0, 0, 0, 0, 0, 0, 0], 8)
+    assert isinstance(vars(system)[counting._ECHELON], counting._Echelon)
+    with pytest.raises(counting.CapExceededError):
+        counting._row(system, (1, 0, 1), 2)
 
 
 def test_one_substitution_in_the_reduce_layer():

@@ -4,6 +4,8 @@ eliminate reduces each output row only by the pivots it holds and
 back-substitutes once, so an H layer of n qubits (n one-variable rows)
 eliminates in about linear time, and it substitutes all pivots into
 each phase term in one visit, so a z2 phase is not rescanned per pivot.
+A system is row-reduced at most twice, however many outputs it is
+eliminated at, and what it keeps for that stays small.
 The XOR expansion of the canonical Z8 map costs about its output, k +
 C(k,2) + C(k,3) terms for k monomials, and the cap is checked before
 the phase is substituted. normalize finds each TOFFOLI target's next
@@ -14,6 +16,7 @@ here as a reference loop.
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from pathsum import (
     random_circuit,
     render_circuit,
 )
+from pathsum import counting
 from pathsum.cli import main
 
 
@@ -79,6 +83,44 @@ def test_eliminate_is_linear_on_a_20000_qubit_h_layer():
     reduced = eliminate(system, (1,) * n)
     assert time.perf_counter() - start < 5.0  # reducing by every pivot took 15 s at 8,000 qubits
     assert reduced.free_vars == () and not reduced.phase.terms
+
+
+def test_a_20000_qubit_h_layer_eliminated_twice_keeps_little():
+    n = 20_000
+    system = compile_mixed(Circuit(n, tuple(Gate.h(q) for q in range(n)), Mode.MIXED), (0,) * n)
+    tracemalloc.start()
+    try:
+        for b in ((1,) * n, (0,) * n):  # the second call reduces with symbolic right-hand sides
+            start = time.perf_counter()
+            reduced = eliminate(system, b)
+            assert time.perf_counter() - start < 5.0
+            assert reduced.free_vars == () and not reduced.phase.terms
+        del reduced
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(vars(system)[counting._ECHELON], counting._Echelon)
+    # One elimination peaked at 31 MB, with the system itself 33 MB; keeping
+    # n-bit dependency masks beside the pivot rows kept 86 MB and peaked at 115 MB.
+    assert peak <= 62e6
+    assert kept <= 31e6
+
+
+def test_all_outputs_of_a_10_qubit_system_row_reduce_at_most_twice(monkeypatch):
+    reductions = []
+    row_reduce = counting._row_reduce
+
+    def spy(system, seeds):
+        reductions.append(system)
+        return row_reduce(system, seeds)
+
+    monkeypatch.setattr(counting, "_row_reduce", spy)
+    rng = np.random.default_rng(10)
+    circuit = random_circuit(10, 60, Mode.MIXED, rng, max_hadamards=14)
+    system = compile_mixed(circuit, (0,) * 10)
+    results = [eliminate(system, b) for b in all_basis_strings(10)]
+    assert 0 < sum(r is None for r in results) < len(results)
+    assert len(reductions) <= 2
 
 
 def test_eliminate_substitutes_a_large_z2_phase_in_one_pass():
