@@ -6,25 +6,26 @@ to output b is (#(0) - #(1)) / sqrt(2^h) where #(k) counts the
 assignments x with B(x) = b and phase(x) = k. A mixed-mode phase is
 tallied mod 8 instead, giving CyclotomicValues.
 
-The reduce layer: eliminate solves affine outputs by Gaussian
-elimination over Z2, which refutes b (an exact zero) or substitutes the
-pivots into the phase; _reduce then applies the path-sum rules Elim and
-[HH] (Amy, arXiv:1805.06908) to the canonical Z8 phase (a z2 phase f is
-4*f), and only the variables it leaves are tallied. Both substitute
-with the one product loop of _substituted. The output matrix does not
-depend on b: a system's first elimination solves it at b and records
-its rank on the system, and its second builds an _Echelon (the rows
-reduced once with symbolic right-hand sides, the phase substituted
-once), kept in the system's __dict__ and freed with it, which every
-later output only restricts: a parity check per vanished row, then a
-filter of the substituted products. _row is the one pipeline behind
-count, amplitude, cyclotomic_amplitude and the CLI's _amplitude, in
-both modes; outputs that are not affine filter a sweep over all 2^h
-paths. The cap bounds log2 of the assignments left for the rules and
-the kernel: the free variables after elimination, checked once by _row
-(before the substitution; a rank it refuses builds no _Echelon) or
-amplitude_mixed, or all h for a sweep (non-affine outputs,
-distribution and count_all).
+The reduce layer has one phase form, the canonical Z8 map {monomial
+mask: coefficient mod 8} (a z2 phase f is 4*f). Gaussian elimination
+over Z2 solves affine outputs: it refutes b (an exact zero) or
+substitutes the pivots into the phase, giving the map, which _reduce
+rewrites by the path-sum rules Elim and [HH] (Amy, arXiv:1805.06908)
+before the variables it leaves are tallied; only the public eliminate
+turns the map into a Reduced. Both substitute with the one product loop
+of _substituted. The output matrix does not depend on b: a system's
+first elimination solves it at b and records its rank on the system,
+and its second builds an _Echelon (the rows reduced once with symbolic
+right-hand sides, the phase substituted once), kept in the system's
+__dict__ and freed with it, which every later output only restricts: a
+parity check per vanished row, then a filter of the substituted
+products. _row is the one pipeline behind count, amplitude,
+cyclotomic_amplitude and the CLI's _amplitude, in both modes; outputs
+that are not affine filter a sweep over all 2^h paths. The cap bounds
+log2 of the assignments left for the rules and the kernel: the free
+variables after elimination, checked once by _row (before the
+substitution; a rank it refuses builds no _Echelon) or amplitude_mixed,
+or all h for a sweep (non-affine outputs, distribution and count_all).
 
 _block_tally owns the packed-path format: it packs path indices into
 uint64 words (x_i at bit i, so at most 63 variables) and tallies them
@@ -201,9 +202,9 @@ def eliminate(system: PathSystem, output_bits: Sequence[int]) -> Reduced | None:
     Returns None when the system is inconsistent (the amplitude is then
     exactly zero). Otherwise each pivot variable is expressed in the
     free variables and substituted into every phase indicator, and the
-    indicators are summed into the canonical Z8 phase: a z2 phase comes
-    back as a GF2Poly, a mixed one as its canonical MixedPhase (what
-    canonicalize() returns).
+    indicators are summed into the canonical Z8 map, which only this
+    turns into a Reduced: a z2 phase comes back as a GF2Poly, a mixed
+    one as its canonical MixedPhase (what canonicalize() returns).
 
     The first elimination of a system substitutes b's pivots directly
     and records the rank in the system's __dict__. The second builds the
@@ -216,20 +217,28 @@ def eliminate(system: PathSystem, output_bits: Sequence[int]) -> Reduced | None:
     """
     if len(output_bits) != system.num_qubits:
         raise ValueError("output length must match the qubit count")
-    return _eliminate(system, tuple(bit & 1 for bit in output_bits))
+    solved = _eliminate(system, tuple(bit & 1 for bit in output_bits))
+    if solved is None:
+        return None
+    free_vars, terms = solved
+    if isinstance(system.phase, GF2Poly):
+        return Reduced(free_vars, GF2Poly._raw(frozenset(terms)))
+    return Reduced(free_vars, _from_z8(terms))
 
 
-def _eliminate(system: PathSystem, b: tuple[int, ...], cap: int | None = None) -> Reduced | None:
-    """eliminate at the bits b, with the cap, when one is given, checked on
-    the free variables before the phase is substituted. No _Echelon is
-    built while the cap refuses the system's rank: each call then takes
-    the first elimination's path, which refutes b or raises."""
+def _eliminate(
+    system: PathSystem, b: tuple[int, ...], cap: int | None = None
+) -> tuple[tuple[int, ...], dict[int, int]] | None:
+    """eliminate at the bits b, as (free variables, Z8 map), with the cap,
+    when one is given, checked on the free variables before substituting.
+    No _Echelon is built while the cap refuses the system's rank: each call
+    then takes the first elimination's path, which refutes b or raises."""
     h = system.num_path_vars
     state = vars(system).get(_ECHELON)
     if isinstance(state, int) and (cap is None or h - state <= cap):
         state = vars(system)[_ECHELON] = _Echelon(system)
     if isinstance(state, _Echelon):
-        word = (1, *b)
+        word = 1 | sum(bit << (j + 1) for j, bit in enumerate(b))
         if state.refutes(word):
             return None
         if cap is not None:
@@ -298,15 +307,9 @@ def _indicators(phase: GF2Poly | MixedPhase) -> Iterable[tuple[int, GF2Poly]]:
     return ((4, phase),) if isinstance(phase, GF2Poly) else phase.terms
 
 
-def _canonical(terms: dict[int, int], z2: bool) -> GF2Poly | MixedPhase:
-    """The phase of a Z8 map in eliminate's form: a GF2Poly for a z2
-    phase (every weight is 4), else the canonical MixedPhase."""
-    return GF2Poly(terms) if z2 else _from_z8(terms)
-
-
-def _substitute_pivots(system: PathSystem, pivots: dict[int, tuple[int, int]]) -> Reduced:
+def _substitute_pivots(system: PathSystem, pivots: dict[int, tuple[int, int]]) -> tuple[tuple[int, ...], dict[int, int]]:
     """The substitution of eliminate: each pivot's row into every phase
-    indicator, summed into the canonical Z8 phase."""
+    indicator, summed into the canonical Z8 map."""
     free_vars = tuple(v for v in range(1, system.num_path_vars + 1) if v not in pivots)
     # Each pivot is now the XOR of free variables (and 1 when rhs is set).
     replacements = {
@@ -317,7 +320,7 @@ def _substitute_pivots(system: PathSystem, pivots: dict[int, tuple[int, int]]) -
     terms: dict[int, int] = {}
     for coeff, indicator in _indicators(system.phase):
         _add_substituted(terms, coeff, indicator.masks, replacements, bits)
-    return Reduced(free_vars, _canonical(terms, isinstance(system.phase, GF2Poly)))
+    return free_vars, terms
 
 
 class _Echelon:
@@ -330,13 +333,12 @@ class _Echelon:
     pivot bits. At an output b, rhs_v is the parity of its dependency
     mask at b; a product survives when every pivot bit it holds has rhs
     1, and loses those bits. What is kept is only what that needs: the
-    free variables, the dependencies of the vanished rows and of the
-    pivots in the phase, as tuples of output positions (0 for the
-    constant), the XOR sets that hold a pivot bit, and the Z8 map of
-    the rest, which is the same at every b. The pivot rows are dropped.
+    free variables, the dependency masks of the vanished rows and of
+    the pivots in the phase, the XOR sets that hold a pivot bit, and the
+    Z8 map of the rest, which is the same at every b. The pivot rows are dropped.
     """
 
-    __slots__ = ("free_vars", "checks", "pivots", "strip", "fixed", "sets", "z2")
+    __slots__ = ("free_vars", "checks", "pivots", "strip", "fixed", "sets")
 
     def __init__(self, system: PathSystem) -> None:
         rows, checks = _row_reduce(system, (1 << j for j in range(1, system.num_qubits + 1)))
@@ -345,8 +347,8 @@ class _Echelon:
         replacements = {var: [1 << w for w in _mask_vars(mask)] for var, (mask, _) in rows.items() if var in support}
         bits = sum(1 << var for var in replacements)
         self.free_vars = tuple(v for v in range(1, system.num_path_vars + 1) if v not in rows)
-        self.checks = [tuple(_mask_vars(dep)) for dep in checks]
-        self.pivots = [(1 << var, tuple(_mask_vars(rows[var][1]))) for var in replacements]
+        self.checks = checks
+        self.pivots = [(1 << var, rows[var][1]) for var in replacements]
         self.strip = ~bits
         # Sets with no pivot bit are the same at every b: summed once into
         # fixed. 4 * 1_[XOR of S] is 4 * (sum of S) mod 8, so the sets of
@@ -366,17 +368,16 @@ class _Echelon:
         held = tuple(p for p in fours if p & bits)
         if held:
             self.sets.append((4, held))
-        self.z2 = isinstance(system.phase, GF2Poly)
 
-    def refutes(self, word: tuple[int, ...]) -> bool:
-        """Whether B(x) = b is inconsistent, for word = (1, *b)."""
-        return any(sum(map(word.__getitem__, dep)) & 1 for dep in self.checks)
+    def refutes(self, word: int) -> bool:
+        """Whether B(x) = b is inconsistent, for word = 1 | sum of b_j << (j + 1)."""
+        return any((dep & word).bit_count() & 1 for dep in self.checks)
 
-    def restrict(self, word: tuple[int, ...]) -> Reduced:
-        """eliminate's Reduced at a consistent b, for word = (1, *b)."""
+    def restrict(self, word: int) -> tuple[tuple[int, ...], dict[int, int]]:
+        """The free variables and the Z8 map at a consistent b, for word as in refutes."""
         off = 0  # the pivot bits whose rhs is 0 at b
         for bit, dep in self.pivots:
-            if not sum(map(word.__getitem__, dep)) & 1:
+            if not (dep & word).bit_count() & 1:
                 off |= bit
         strip = self.strip
         terms = dict(self.fixed)
@@ -390,7 +391,7 @@ class _Echelon:
                     else:
                         xor.add(p)
             _add_xor(terms, coeff, xor)
-        return Reduced(self.free_vars, _canonical(terms, self.z2))
+        return self.free_vars, terms
 
 
 def _add_substituted(
@@ -420,9 +421,9 @@ def _substituted(masks: Iterable[int], replacements: Mapping[int, Sequence[int]]
     return xor
 
 
-def _reduce(phase: GF2Poly | MixedPhase, free_vars: Sequence[int]) -> tuple[int, dict[int, int], tuple[int, ...]] | None:
+def _reduce(terms: dict[int, int], free_vars: Sequence[int]) -> tuple[int, dict[int, int], tuple[int, ...]] | None:
     """Sum free variables out of sum_y w^phase(y) exactly, by the path-sum
-    rules of Amy (arXiv:1805.06908) on the canonical Z8 phase, to a fixed point.
+    rules of Amy (arXiv:1805.06908) on the Z8 map terms, in place, to a fixed point.
 
     [HH]: a variable x whose terms are all 4*x*m, each m the constant 1
     or one variable, sums to 2*[g = 0] with g the XOR of the m. A factor
@@ -431,11 +432,9 @@ def _reduce(phase: GF2Poly | MixedPhase, free_vars: Sequence[int]) -> tuple[int,
     other terms and drops out. Elim, a variable in no term, is the case
     g = 0.
 
-    Returns the number of doublings, the residual {monomial mask:
-    coefficient mod 8} terms and the free variables left, in the order
-    given; or None when the sum is exactly zero.
+    Returns the number of doublings, the residual terms and the free
+    variables left, in the order given; or None when the sum is exactly zero.
     """
-    terms = _z8(phase)
     free = list(free_vars)
     doublings = 0
     while True:
@@ -465,20 +464,19 @@ def _reduce(phase: GF2Poly | MixedPhase, free_vars: Sequence[int]) -> tuple[int,
             free.remove(y)
 
 
-def _reduced_row(phase: GF2Poly | MixedPhase, free_vars: Sequence[int], cap: int) -> list[int]:
+def _reduced_row(terms: dict[int, int], free_vars: Sequence[int], width: int, cap: int) -> list[int]:
     """The tally row of sum_y w^phase(y) over the free variables, at the
-    phase's width: _reduce, then the remaining variables relabelled to
-    1..k, tallied and scaled by 2^doublings. Exact, so its value equals
-    the unreduced one. Its callers check the cap on the free variables
-    passed in, before the rules run; _tally checks the k left."""
-    width = _modulus(phase)
-    reduced = _reduce(phase, free_vars)
+    width 2 (z2) or 8 (mixed): _reduce on the phase's Z8 map terms, then
+    the remaining variables relabelled to 1..k, tallied and scaled by
+    2^doublings. Exact, so its value equals the unreduced one. Its callers
+    check the cap on the free variables passed in; _tally checks the k left."""
+    reduced = _reduce(terms, free_vars)
     if reduced is None:
         return [0] * width
     doublings, terms, rest = reduced
-    position = {var: i + 1 for i, var in enumerate(rest)}
+    bit = {var: 1 << i for i, var in enumerate(rest, 1)}
     local = MixedPhase(tuple(
-        (c, GF2Poly((sum(1 << position[v] for v in _mask_vars(mask)),))) for mask, c in terms.items()
+        (c, GF2Poly._raw(frozenset((sum(bit[v] for v in _mask_vars(mask)),)))) for mask, c in terms.items()
     ))
     (row,) = _tally(len(rest), (), local, (), cap).tolist()
     return [n << doublings for n in row[:: 8 // width]]  # a z2 phase 4*f takes the values 0 and 4
@@ -502,10 +500,11 @@ def _row(system: PathSystem, output_bits: Sequence[int], cap: int) -> tuple[list
     if any(poly.degree > 1 for poly in system.outputs):
         (row,) = _tally(h, system.outputs, system.phase, b, cap).tolist()
         return row, sum(row)
-    reduced = _eliminate(system, b, cap)
-    if reduced is None:
+    solved = _eliminate(system, b, cap)
+    if solved is None:
         return [0] * _modulus(system.phase), 0
-    return _reduced_row(reduced.phase, reduced.free_vars, cap), 1 << len(reduced.free_vars)
+    free_vars, terms = solved
+    return _reduced_row(terms, free_vars, _modulus(system.phase), cap), 1 << len(free_vars)
 
 
 @dataclass(frozen=True)
@@ -661,8 +660,8 @@ def amplitude_mixed(
 
     The result is normalized by sqrt(2^num_hadamards), the total
     Hadamard count of the originating circuit, regardless of how many
-    variables survived elimination. The free variables are distinct
-    1-based path variables, and the cap bounds how many there are.
+    variables survived elimination. The free variables are distinct path
+    variables numbered 1..num_hadamards, and the cap bounds how many.
     """
     if not isinstance(phase, MixedPhase):
         raise ValueError("amplitude_mixed takes a mixed (mod 8) phase, not a z2 phase polynomial")
@@ -673,13 +672,18 @@ def amplitude_mixed(
     if len(free) != len(free_vars):
         repeated = sorted(v for v, n in Counter(free_vars).items() if n > 1)
         raise ValueError(f"free variables repeat {repeated}")
+    if num_hadamards < 0:
+        raise ValueError(f"num_hadamards must be non-negative, got {num_hadamards}")
+    above = sorted(v for v in free if v > num_hadamards)
+    if above:
+        raise ValueError(f"free variables {above} are numbered above num_hadamards = {num_hadamards}")
     extra = phase.support() - free
     if extra:
         raise ValueError(
             f"phase references non-free variables {sorted(extra)}"
         )
     _check_cap(len(free_vars), cap, num_hadamards)
-    return _value(_reduced_row(phase, free_vars, cap), num_hadamards)
+    return _value(_reduced_row(_z8(phase), free_vars, 8, cap), num_hadamards)
 
 
 def cyclotomic_amplitude(

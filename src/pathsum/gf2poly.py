@@ -20,12 +20,12 @@ against the loop's 350 ns.
 
 MixedPhase, a sum of (coefficient mod 8, Z2 indicator) terms, is the
 phase of a mixed-mode path sum; a z2 phase f is the mixed phase 4*f.
-The reduce layer (in counting) works on one form of either phase, the
-canonical Z8 map {monomial mask: coefficient mod 8} built by _z8 and
-read back by _from_z8. Every entry comes from _add_xor, which adds
-c * 1_[XOR of monomials] to a map by a closed-form sum over the
-monomials, their pairs and their triples, since larger subsets weigh
-0 mod 8.
+Its canonical form is the Z8 map {monomial mask: coefficient mod 8},
+built by _z8 and sorted back into a MixedPhase by _from_z8; the reduce
+layer (in counting) works on that map alone. Every entry comes from
+_add_xor, which adds c * 1_[XOR of monomials] to a map by a closed-form
+sum over the monomials, their pairs and their triples, since larger
+subsets weigh 0 mod 8.
 """
 
 from __future__ import annotations
@@ -375,10 +375,11 @@ class MixedPhase:
         return acc & np.uint8(7)
 
     def support(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
+        union = 0
         for _, indicator in self.terms:
-            out |= indicator.support()
-        return out
+            for mask in indicator.masks:
+                union |= mask
+        return frozenset(_mask_vars(union))
 
     @property
     def degree(self) -> int:
@@ -428,11 +429,9 @@ def _add_xor(acc: dict[int, int], coeff: int, masks: Collection[int]) -> None:
             acc.pop(mask, None)
 
 
-def _z8(phase: GF2Poly | MixedPhase) -> dict[int, int]:
+def _z8(phase: MixedPhase) -> dict[int, int]:
     """The canonical Z8 map {monomial mask: coefficient mod 8} of a phase,
-    the one phase form of the reduce layer; a z2 phase f is 4*f."""
-    if isinstance(phase, GF2Poly):
-        return dict.fromkeys(phase.masks, 4)
+    the one phase form of the reduce layer."""
     acc: dict[int, int] = {}
     for coeff, indicator in phase.terms:
         _add_xor(acc, coeff, indicator.masks)
@@ -442,5 +441,5 @@ def _z8(phase: GF2Poly | MixedPhase) -> dict[int, int]:
 def _from_z8(terms: Mapping[int, int]) -> MixedPhase:
     """The canonical MixedPhase of a Z8 map: its terms in graded lex order."""
     kept = sorted(terms.items(), key=lambda kv: _term_key(kv[0]))
-    return MixedPhase(tuple((w, GF2Poly((mask,))) for mask, w in kept))
+    return MixedPhase(tuple((w, GF2Poly._raw(frozenset((mask,)))) for mask, w in kept))
 

@@ -379,6 +379,15 @@ class TestAmplitudeMixed:
         with pytest.raises(ValueError, match=re.escape(named)):
             amplitude_mixed(MixedPhase(), free_vars, num_hadamards=0)
 
+    @pytest.mark.parametrize(
+        "free_vars, num_hadamards, named",
+        [((1, 2, 3), 2, "free variables [3] are numbered above num_hadamards = 2"), ((1,), -1, "got -1")],
+    )
+    def test_rejects_a_hadamard_count_that_cannot_hold_the_free_variables(self, free_vars, num_hadamards, named):
+        # Trusted, these gave an amplitude of modulus 4 and a shift by -1 in as_complex.
+        with pytest.raises(ValueError, match=re.escape(named)):
+            amplitude_mixed(MixedPhase(), free_vars, num_hadamards)
+
 
 @st.composite
 def mixed_phases(draw, max_vars: int = 8, max_terms: int = 4):

@@ -1,8 +1,9 @@
 """Differential tests of the reduce layer: eliminate and the path-sum
 reducer inside count and amplitude_mixed.
 
-_reduce sums variables out of the canonical Z8 phase by Elim and [HH]
-before the kernel enumerates what is left. The reduced results must
+_reduce sums variables out of a phase's canonical Z8 map by Elim and
+[HH] before the kernel enumerates what is left; elimination hands it
+that map directly, the reduce layer's one phase form. The reduced results must
 equal, exactly, the unreduced _tally over all 2^h paths of the same
 system, and match the dense simulator. eliminate substitutes its pivots
 into the same Z8 map; its result, and that of the one substitution
@@ -59,23 +60,23 @@ def x(*indices: int) -> int:
 
 class TestRules:
     def test_elim_doubles_unused_variables(self):
-        assert counting._reduce(MixedPhase(), (1, 2, 3)) == (3, {}, ())
+        assert counting._reduce(gf2poly._z8(MixedPhase()), (1, 2, 3)) == (3, {}, ())
 
     def test_hh_solves_an_affine_g(self):
         # x1 sums to 2*[x2 + x3 = 0], so x2 becomes x3 in 1*x2.
         phase = MixedPhase(((4, var(1) * var(2)), (4, var(1) * var(3)), (1, var(2))))
-        assert counting._reduce(phase, (1, 2, 3)) == (1, {x(3): 1}, (3,))
+        assert counting._reduce(gf2poly._z8(phase), (1, 2, 3)) == (1, {x(3): 1}, (3,))
         value = amplitude_mixed(phase, (1, 2, 3), 3)
         assert value.coeffs == (2, 2, 0, 0)  # 2 * (1 + w)
 
     def test_hh_with_a_constant_in_g(self):
         # 4*x1*(x2 + 1): x1 sums to 2*[x2 = 1], so 2*x2*x3 becomes 2*x3.
         phase = MixedPhase(((4, var(1) * var(2)), (4, var(1)), (2, var(2) * var(3))))
-        assert counting._reduce(phase, (1, 2, 3)) == (1, {x(3): 2}, (3,))
+        assert counting._reduce(gf2poly._z8(phase), (1, 2, 3)) == (1, {x(3): 2}, (3,))
 
     def test_g_equal_to_one_is_exactly_zero(self):
         phase = MixedPhase(((4, var(1)), (1, var(2))))
-        assert counting._reduce(phase, (1, 2)) is None
+        assert counting._reduce(gf2poly._z8(phase), (1, 2)) is None
         assert amplitude_mixed(phase, (1, 2), 2).is_zero
 
     @pytest.mark.parametrize(
@@ -87,13 +88,13 @@ class TestRules:
         ],
     )
     def test_no_rule_fires(self, phase):
-        doublings, terms, rest = counting._reduce(phase, (1, 2, 3)[: len(phase.support())])
+        doublings, terms, rest = counting._reduce(gf2poly._z8(phase), (1, 2, 3)[: len(phase.support())])
         assert (doublings, rest) == (0, tuple(sorted(phase.support())))
         assert terms == {next(iter(f.masks)): c for c, f in phase.canonicalize().terms}
 
     def test_remaining_variables_keep_their_order(self):
         phase = MixedPhase(((1, var(5)), (1, var(2))))
-        assert counting._reduce(phase, (5, 4, 2)) == (1, {x(5): 1, x(2): 1}, (5, 2))
+        assert counting._reduce(gf2poly._z8(phase), (5, 4, 2)) == (1, {x(5): 1, x(2): 1}, (5, 2))
 
 
 @pytest.fixture
@@ -301,6 +302,31 @@ def test_amplitudes_of_every_output_from_one_system_match_the_simulator():
                 assert value == cyclotomic_amplitude(circuit, a, b)
                 assert abs(value.as_complex() - state[bits_to_index(b)]) < 1e-9
         assert isinstance(vars(system)[counting._ECHELON], counting._Echelon) or n == 1
+
+
+def test_row_keeps_the_z8_map_from_elimination_to_the_tally(monkeypatch):
+    def leave_the_map(*args):
+        raise AssertionError("the reduce layer converted its Z8 map")
+
+    monkeypatch.setattr(counting, "_z8", leave_the_map)
+    monkeypatch.setattr(counting, "_from_z8", leave_the_map)
+    rng = np.random.default_rng(1919)
+    seen = Counter()
+    for trial in range(40):
+        mode = (Mode.Z2, Mode.MIXED)[trial % 2]
+        circuit, a = _with_quiet_wires(rng, mode)
+        system = (compile_circuit if mode is Mode.Z2 else compile_mixed)(circuit, a)
+        assert all(poly.degree <= 1 for poly in system.outputs)  # every output is eliminated
+        state = simulate(circuit, a)
+        for b in all_basis_strings(circuit.num_qubits):
+            echelon = isinstance(vars(system).get(counting._ECHELON), counting._Echelon)
+            row, reached = counting._row(system, b, counting.DEFAULT_CAP)
+            value = counting._value(row, system.num_path_vars)
+            exact = value.as_float() if mode is Mode.Z2 else value.as_complex()
+            assert abs(exact - state[bits_to_index(b)]) < 1e-9
+            seen[mode, echelon] += reached > 0
+    for mode in (Mode.Z2, Mode.MIXED):
+        assert seen[mode, False] and seen[mode, True], seen
 
 
 def test_output_bits_are_read_mod_2_on_every_call():
