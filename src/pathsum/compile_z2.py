@@ -78,14 +78,26 @@ class PathSystem:
 
     @classmethod
     def from_dict(cls, doc: dict) -> PathSystem:
+        """The inverse of to_dict. Refuses a negative h, a monomial over a
+        variable outside x1..xh and an input of another length than the
+        outputs, which no compiled system has."""
+        h = int(doc["h"])
+        if h < 0:
+            raise ValueError(f"h must be non-negative, got {h}")
+        outputs = tuple(parse_poly(text) for text in doc["outputs"])
         phase = doc["phase"]
-        return cls(
-            num_path_vars=int(doc["h"]),
-            outputs=tuple(parse_poly(text) for text in doc["outputs"]),
-            phase=parse_poly(phase) if isinstance(phase, str)
-            else MixedPhase(tuple((int(c), parse_poly(f)) for c, f in phase)),
-            input_bits=parse_bits(doc["input"]),
+        phase = parse_poly(phase) if isinstance(phase, str) else MixedPhase(
+            tuple((int(c), parse_poly(f)) for c, f in phase)
         )
+        for name, part in [(f"output {j}", poly) for j, poly in enumerate(outputs)] + [("the phase", phase)]:
+            outside = sorted(v for v in part.support() if not 1 <= v <= h)
+            if outside:
+                names = ", ".join(f"x{v}" for v in outside)
+                raise ValueError(f"{name} holds {names}, outside the path variables x1..x{h}")
+        input_bits = parse_bits(doc["input"])
+        if len(input_bits) != len(outputs):
+            raise ValueError(f"input {doc['input']!r} has {len(input_bits)} bits for {len(outputs)} outputs")
+        return cls(num_path_vars=h, outputs=outputs, phase=phase, input_bits=input_bits)
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)

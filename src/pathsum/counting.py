@@ -13,19 +13,20 @@ substitutes the pivots into the phase, giving the map, which _reduce
 rewrites by the path-sum rules Elim and [HH] (Amy, arXiv:1805.06908)
 before the variables it leaves are tallied; only the public eliminate
 turns the map into a Reduced. Both substitute with the one product loop
-of _substituted. The output matrix does not depend on b: a system's
-first elimination solves it at b and records its rank on the system,
-and its second builds an _Echelon (the rows reduced once with symbolic
-right-hand sides, the phase substituted once), kept in the system's
-__dict__ and freed with it, which every later output only restricts: a
-parity check per vanished row, then a filter of the substituted
-products. _row is the one pipeline behind count, amplitude,
-cyclotomic_amplitude and the CLI's _amplitude, in both modes; outputs
-that are not affine filter a sweep over all 2^h paths. The cap bounds
-log2 of the assignments left for the rules and the kernel: the free
-variables after elimination, checked once by _row (before the
-substitution; a rank it refuses builds no _Echelon) or amplitude_mixed,
-or all h for a sweep (non-affine outputs, distribution and count_all).
+of _substituted. The output matrix does not depend on b, so a system's
+first elimination row-reduces it once, with symbolic right-hand sides,
+into an _Echelon kept in the system's __dict__ and freed with it. Every
+output restricts it: a parity check per vanished row, then _substitute,
+which sets the pivots at b into the phase for the first consistent
+output and, for the second, substitutes the phase once symbolically so
+that later outputs filter its products. _row is the one pipeline behind
+count, amplitude, cyclotomic_amplitude and the CLI's _amplitude, in both
+modes; outputs that are not affine filter a sweep over all 2^h paths.
+The cap bounds log2 of the assignments left for the rules and the
+kernel: the free variables after elimination, checked once by _row
+(before any substitution, so a rank it refuses substitutes nothing) or
+amplitude_mixed, or all h for a sweep (non-affine outputs, distribution
+and count_all).
 
 _block_tally owns the packed-path format: it packs path indices into
 uint64 words (x_i at bit i, so at most 63 variables) and tallies them
@@ -190,9 +191,8 @@ class Reduced:
     phase: GF2Poly | MixedPhase
 
 
-# Key of a system's elimination state in vars(system), so that the state is
-# freed with the system: the rank after its first elimination, then an
-# _Echelon. Threads that race to build it build equal ones; either is kept.
+# Key of a system's _Echelon in vars(system), so that it is freed with the
+# system. Threads that race to build it build equal ones; either is kept.
 _ECHELON = "_echelon"
 
 
@@ -206,14 +206,11 @@ def eliminate(system: PathSystem, output_bits: Sequence[int]) -> Reduced | None:
     turns into a Reduced: a z2 phase comes back as a GF2Poly, a mixed
     one as its canonical MixedPhase (what canonicalize() returns).
 
-    The first elimination of a system substitutes b's pivots directly
-    and records the rank in the system's __dict__. The second builds the
-    system's _Echelon there: its free variables, the right-hand side of
-    each vanished row and of each pivot in the phase as the output
-    positions it depends on, and the phase substituted once into XOR
-    sets of products. That call and every later one restrict the
-    _Echelon to b. It lives as long as the system; an error (a wrong
-    length of b, an output that is not affine) records nothing.
+    B does not depend on b, so a system is row-reduced once, by its
+    first elimination, into the _Echelon kept in its __dict__ for as
+    long as the system lives; every elimination restricts it to b. An
+    error (a wrong length of b, an output that is not affine) records
+    nothing.
     """
     if len(output_bits) != system.num_qubits:
         raise ValueError("output length must match the qubit count")
@@ -229,49 +226,40 @@ def eliminate(system: PathSystem, output_bits: Sequence[int]) -> Reduced | None:
 def _eliminate(
     system: PathSystem, b: tuple[int, ...], cap: int | None = None
 ) -> tuple[tuple[int, ...], dict[int, int]] | None:
-    """eliminate at the bits b, as (free variables, Z8 map), with the cap,
-    when one is given, checked on the free variables before substituting.
-    No _Echelon is built while the cap refuses the system's rank: each call
-    then takes the first elimination's path, which refutes b or raises."""
-    h = system.num_path_vars
-    state = vars(system).get(_ECHELON)
-    if isinstance(state, int) and (cap is None or h - state <= cap):
-        state = vars(system)[_ECHELON] = _Echelon(system)
-    if isinstance(state, _Echelon):
-        word = 1 | sum(bit << (j + 1) for j, bit in enumerate(b))
-        if state.refutes(word):
-            return None
-        if cap is not None:
-            _check_cap(len(state.free_vars), cap, h)
-        return state.restrict(word)
-    pivots, checks = _row_reduce(system, b)
-    vars(system)[_ECHELON] = len(pivots)  # the rank, which does not depend on b
-    if checks:
+    """eliminate at the bits b, as (free variables, Z8 map): the system's
+    _Echelon, built on its first call, refutes b by a parity test per
+    vanished row; the cap, when one is given, is checked on the free
+    variables before the echelon is restricted, so a rank it refuses
+    substitutes nothing."""
+    echelon = vars(system).get(_ECHELON)
+    if echelon is None:
+        echelon = vars(system)[_ECHELON] = _Echelon(system)
+    word = 1 | sum(bit << (j + 1) for j, bit in enumerate(b))
+    if any((dep & word).bit_count() & 1 for dep in echelon.checks):
         return None
     if cap is not None:
-        _check_cap(h - len(pivots), cap, h)  # the substituted phase can hold a term per triple of free variables
-    return _substitute_pivots(system, pivots)
+        # The substituted phase can hold a term per triple of free variables.
+        _check_cap(len(echelon.free_vars), cap, system.num_path_vars)
+    return echelon.free_vars, echelon.restrict(system.phase, word)
 
 
-def _row_reduce(system: PathSystem, seeds: Iterable[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
-    """The row reduction of eliminate, with output j's right-hand side
-    seeded by the j-th seed: the bit b_j, or the dependency mask
-    1 << (j + 1) that keeps it symbolic (bit 0 then stands for the
-    constant 1).
+def _row_reduce(system: PathSystem) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """The row reduction of eliminate, with output j's right-hand side the
+    dependency mask 1 << (j + 1) (bit 0 stands for the constant 1), so
+    that it holds at every b: a right-hand side dep is the parity of
+    dep & word at word = 1 | sum of b_j << (j + 1).
 
-    Returns {pivot variable: (row mask, rhs)}, each row holding its pivot
-    and free variables only, and the nonzero rhs of the rows that
+    Returns {pivot variable: (row mask, dep)}, each row holding its pivot
+    and free variables only, and the nonzero dep of the rows that
     vanished: B(x) = b is consistent iff each of those is 0 at b. It
-    touches no phase, so a caller can check the free-variable count
-    h - len(pivots) before substituting, whose phase can hold a term for
-    every triple of free variables."""
+    touches no phase."""
     # Echelon form: each row's pivot is its lowest variable, and a new row
     # is reduced only by the pivots it holds, lowest first.
     pivots: dict[int, tuple[int, int]] = {}
     checks: list[int] = []
     pivot_bits = 0
-    for poly, rhs in zip(system.outputs, seeds):
-        mask = 0
+    for j, poly in enumerate(system.outputs, 1):
+        mask, rhs = 0, 1 << j
         for m in poly.masks:  # affine: one-variable monomials, and 0 for the constant 1
             if m & (m - 1):
                 raise ValueError("output constraints must be affine")
@@ -307,81 +295,61 @@ def _indicators(phase: GF2Poly | MixedPhase) -> Iterable[tuple[int, GF2Poly]]:
     return ((4, phase),) if isinstance(phase, GF2Poly) else phase.terms
 
 
-def _substitute_pivots(system: PathSystem, pivots: dict[int, tuple[int, int]]) -> tuple[tuple[int, ...], dict[int, int]]:
-    """The substitution of eliminate: each pivot's row into every phase
-    indicator, summed into the canonical Z8 map."""
-    free_vars = tuple(v for v in range(1, system.num_path_vars + 1) if v not in pivots)
-    # Each pivot is now the XOR of free variables (and 1 when rhs is set).
-    replacements = {
-        var: [1 << w for w in _mask_vars(mask ^ (1 << var))] + [0] * rhs
-        for var, (mask, rhs) in pivots.items()
-    }
-    bits = sum(1 << var for var in pivots)
-    terms: dict[int, int] = {}
-    for coeff, indicator in _indicators(system.phase):
-        _add_substituted(terms, coeff, indicator.masks, replacements, bits)
-    return free_vars, terms
-
-
 class _Echelon:
-    """A system's outputs row-reduced once, with every right-hand side kept
-    as a dependency mask, and its phase substituted once.
+    """A system's outputs row-reduced once, each right-hand side kept as a
+    dependency mask, and restricted to each consistent b.
 
-    In the substitution each pivot's own bit stands for its rhs: pivot v
-    becomes the XOR of its row's free variables and x_v, so every phase
-    term is one XOR set of products over the free variables and the
-    pivot bits. At an output b, rhs_v is the parity of its dependency
-    mask at b; a product survives when every pivot bit it holds has rhs
-    1, and loses those bits. What is kept is only what that needs: the
-    free variables, the dependency masks of the vanished rows and of
-    the pivots in the phase, the XOR sets that hold a pivot bit, and the
-    Z8 map of the rest, which is the same at every b. The pivot rows are dropped.
+    Its first restriction substitutes b's pivots into the phase directly.
+    The second substitutes the phase once with each pivot's own bit
+    standing for its rhs: pivot v becomes the XOR of its row's free
+    variables and x_v, so every phase term is one XOR set of products
+    over the free variables and the pivot bits. At an output b a product
+    survives when every pivot bit it holds has rhs 1, and loses those
+    bits. What is kept then is only what that needs: the bit and
+    dependency mask of each pivot in the phase, the XOR sets that hold a
+    pivot bit, and the Z8 map of the rest, which is the same at every b.
+    The pivot rows are dropped.
     """
 
-    __slots__ = ("free_vars", "checks", "pivots", "strip", "fixed", "sets")
+    __slots__ = ("free_vars", "checks", "rows", "restricted", "symbolic")
 
     def __init__(self, system: PathSystem) -> None:
-        rows, checks = _row_reduce(system, (1 << j for j in range(1, system.num_qubits + 1)))
-        support = system.phase.support()
-        # x_v's row mask holds v and its free variables: the replacement of x_v.
-        replacements = {var: [1 << w for w in _mask_vars(mask)] for var, (mask, _) in rows.items() if var in support}
-        bits = sum(1 << var for var in replacements)
+        rows, self.checks = _row_reduce(system)
+        self.rows = rows
         self.free_vars = tuple(v for v in range(1, system.num_path_vars + 1) if v not in rows)
-        self.checks = checks
-        self.pivots = [(1 << var, rows[var][1]) for var in replacements]
-        self.strip = ~bits
-        # Sets with no pivot bit are the same at every b: summed once into
-        # fixed. 4 * 1_[XOR of S] is 4 * (sum of S) mod 8, so the sets of
-        # coefficient 4 merge into one, whose products split the same way.
-        self.fixed: dict[int, int] = {}
-        self.sets: list[tuple[int, tuple[int, ...]]] = []
-        fours: set[int] = set()
-        for coeff, indicator in _indicators(system.phase):
-            xor = _substituted(indicator.masks, replacements, bits)
-            if coeff == 4:
-                fours ^= xor
-            elif any(p & bits for p in xor):
-                self.sets.append((coeff, tuple(xor)))
-            else:
-                _add_xor(self.fixed, coeff, xor)
-        _add_xor(self.fixed, 4, [p for p in fours if not p & bits])
-        held = tuple(p for p in fours if p & bits)
-        if held:
-            self.sets.append((4, held))
+        self.restricted = False
+        self.symbolic = None  # (pivots, strip, fixed, sets), from the second restriction on
 
-    def refutes(self, word: int) -> bool:
-        """Whether B(x) = b is inconsistent, for word = 1 | sum of b_j << (j + 1)."""
-        return any((dep & word).bit_count() & 1 for dep in self.checks)
-
-    def restrict(self, word: int) -> tuple[tuple[int, ...], dict[int, int]]:
-        """The free variables and the Z8 map at a consistent b, for word as in refutes."""
+    def restrict(self, phase: GF2Poly | MixedPhase, word: int) -> dict[int, int]:
+        """The Z8 map of the system's phase at a consistent b, for word as in _row_reduce."""
+        # rows is dropped only after symbolic is set, so a racing thread
+        # that reads rows first finds one of the two.
+        rows = self.rows
+        symbolic = self.symbolic
+        if symbolic is None and not self.restricted:
+            self.restricted = True
+            replacements = {
+                var: [1 << w for w in _mask_vars(mask ^ (1 << var))] + [0] * ((dep & word).bit_count() & 1)
+                for var, (mask, dep) in rows.items()
+            }
+            return _substitute(phase, replacements, sum(1 << var for var in rows), 0)[0]
+        if symbolic is None:
+            # x_v's row mask holds v and its free variables: the replacement of x_v.
+            support = phase.support()
+            replacements = {
+                var: [1 << w for w in _mask_vars(mask)] for var, (mask, _) in rows.items() if var in support
+            }
+            bits = sum(1 << var for var in replacements)
+            pivots = [(1 << var, rows[var][1]) for var in replacements]
+            symbolic = self.symbolic = (pivots, ~bits, *_substitute(phase, replacements, bits, bits))
+            self.rows = None
+        pivots, strip, fixed, sets = symbolic
         off = 0  # the pivot bits whose rhs is 0 at b
-        for bit, dep in self.pivots:
+        for bit, dep in pivots:
             if not (dep & word).bit_count() & 1:
                 off |= bit
-        strip = self.strip
-        terms = dict(self.fixed)
-        for coeff, products in self.sets:
+        terms = dict(fixed)
+        for coeff, products in sets:
             xor: set[int] = set()
             for p in products:
                 if not p & off:
@@ -391,15 +359,34 @@ class _Echelon:
                     else:
                         xor.add(p)
             _add_xor(terms, coeff, xor)
-        return self.free_vars, terms
+        return terms
 
 
-def _add_substituted(
-    acc: dict[int, int], coeff: int, masks: Iterable[int], replacements: Mapping[int, Sequence[int]], bits: int
-) -> None:
-    """Add coeff * 1_[XOR of the masks] to the Z8 map acc after setting each
-    x_var to the XOR of replacements[var], by _substituted and _add_xor."""
-    _add_xor(acc, coeff, _substituted(masks, replacements, bits))
+def _substitute(
+    phase: GF2Poly | MixedPhase, replacements: Mapping[int, Sequence[int]], bits: int, held: int
+) -> tuple[dict[int, int], list[tuple[int, tuple[int, ...]]]]:
+    """The substitution of eliminate: each x_var of bits set to the XOR of
+    replacements[var] in every phase indicator, by _substituted. Returns
+    the Z8 map of the XOR sets whose products hold no bit of held, and
+    the (coefficient, XOR set) pairs of the rest. 4 * 1_[XOR of S] is
+    4 * (sum of S) mod 8, so the sets of coefficient 4 merge into one,
+    whose products split the same way."""
+    terms: dict[int, int] = {}
+    sets: list[tuple[int, tuple[int, ...]]] = []
+    fours: set[int] = set()
+    for coeff, indicator in _indicators(phase):
+        xor = _substituted(indicator.masks, replacements, bits)
+        if coeff == 4:
+            fours ^= xor
+        elif held and any(p & held for p in xor):
+            sets.append((coeff, tuple(xor)))
+        else:
+            _add_xor(terms, coeff, xor)
+    kept = tuple(p for p in fours if p & held) if held else ()
+    _add_xor(terms, 4, fours.difference(kept))
+    if kept:
+        sets.append((4, kept))
+    return terms, sets
 
 
 def _substituted(masks: Iterable[int], replacements: Mapping[int, Sequence[int]], bits: int) -> set[int]:
@@ -460,7 +447,7 @@ def _reduce(terms: dict[int, int], free_vars: Sequence[int]) -> tuple[int, dict[
             y = (g & -g).bit_length() - 1
             solved = {y: [1 << v for v in _mask_vars(g ^ (1 << y))] + [0] * constant}
             for mask in [m for m in terms if m >> y & 1]:
-                _add_substituted(terms, terms.pop(mask), (mask,), solved, 1 << y)
+                _add_xor(terms, terms.pop(mask), _substituted((mask,), solved, 1 << y))
             free.remove(y)
 
 

@@ -97,12 +97,11 @@ class TestLayers:
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             }
 
-        assert "_add_substituted" in called("_substitute_pivots") and "_z8" not in called("_substitute_pivots")
-        # The symbolic substitution of an _Echelon runs the same product loop,
-        # and its restriction the same XOR expansion, as _add_substituted.
-        assert {"_substituted", "_add_xor"} <= called("_add_substituted")
-        assert "_substituted" in called("_Echelon") and "_z8" not in called("_Echelon")
-        assert "_add_xor" in called("restrict")
+        # Both restrictions of an _Echelon, at b and symbolic, run the one
+        # substitution, and the rules the same product loop and XOR expansion.
+        assert {"_substituted", "_add_xor"} <= called("_substitute") and "_z8" not in called("_substitute")
+        assert "_substitute" in called("restrict")
+        assert {"_substituted", "_add_xor"} <= called("_reduce")
         products = [node.name for node in definitions.values() if "products = [" in ast.unparse(node)]
         assert products == ["_substituted"]
         assert pathsum.eliminate is counting.eliminate and pathsum.Reduced is counting.Reduced

@@ -69,6 +69,23 @@ class TestOneSystem:
             doc = json.loads(json.dumps(system.to_dict()))
             assert PathSystem.from_dict(doc) == system
 
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"h": -1, "outputs": ["1"], "phase": "0", "input": "0"}, "got -1"),
+            # count gave 2 paths to output 1 where distribution reached only output 0.
+            ({"h": 1, "outputs": ["x5"], "phase": "0", "input": "0"}, "output 0 holds x5"),
+            # Both outputs counted 2 paths, 4 of 2^1 in all.
+            ({"h": 1, "outputs": ["x0"], "phase": "x1", "input": "0"}, "output 0 holds x0"),
+            ({"h": 2, "outputs": ["x1", "x2"], "phase": "x1*x3 + x4", "input": "00"}, "phase holds x3, x4"),
+            ({"h": 1, "outputs": ["x1"], "phase": [[1, "x1"], [4, "x1*x2"]], "input": "0"}, "phase holds x2"),
+            ({"h": 1, "outputs": ["x1"], "phase": "0", "input": "01"}, "input '01' has 2 bits for 1 outputs"),
+        ],
+    )
+    def test_from_dict_refuses_what_no_circuit_compiles_to(self, doc, named):
+        with pytest.raises(ValueError, match=named):
+            PathSystem.from_dict(doc)
+
     def test_distribution_value_type_follows_phase(self):
         rng = np.random.default_rng(71)
         for _ in range(20):

@@ -6,18 +6,22 @@ _reduce sums variables out of a phase's canonical Z8 map by Elim and
 that map directly, the reduce layer's one phase form. The reduced results must
 equal, exactly, the unreduced _tally over all 2^h paths of the same
 system, and match the dense simulator. eliminate substitutes its pivots
-into the same Z8 map; its result, and that of the one substitution
-routine _add_substituted, must equal the object substitution it
-replaced, GF2Poly.substitute per pivot followed by canonicalize. From
-a system's second elimination on, eliminate restricts the system's
-_Echelon instead; at every output, in any order, that must equal the
-object substitution too, and the amplitudes the dense simulator.
+into the same Z8 map; its result, and that of the one product loop
+_substituted expanded by _add_xor, must equal the object substitution
+it replaced, GF2Poly.substitute per pivot followed by canonicalize. A
+system's first elimination row-reduces it once into its _Echelon, and
+every elimination restricts that, at b for the first consistent output
+and symbolically from the second on; at every output, in any order,
+that must equal the object substitution too, and the amplitudes the
+dense simulator.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -263,7 +267,7 @@ def test_every_elimination_of_a_system_equals_the_object_substitution():
         for call, b in enumerate(outputs):
             reduced, expected = eliminate(system, b), _object_eliminate(system, b)
             state = vars(system)[counting._ECHELON]
-            assert isinstance(state, int) if call == 0 else isinstance(state, counting._Echelon)
+            assert isinstance(state, counting._Echelon)
             assert reduced == eliminate(dataclasses.replace(system), b)  # a fresh system's first elimination
             if expected is None:
                 assert reduced is None
@@ -329,6 +333,25 @@ def test_row_keeps_the_z8_map_from_elimination_to_the_tally(monkeypatch):
         assert seen[mode, False] and seen[mode, True], seen
 
 
+def test_threads_that_race_on_one_system_agree_with_fresh_systems():
+    # A short switch interval lets threads interleave inside the first and
+    # second restrictions, where the echelon's state changes.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rng = np.random.default_rng(2121)
+        for trial in range(24):
+            mode = (Mode.Z2, Mode.MIXED)[trial % 2]
+            circuit, a = _with_quiet_wires(rng, mode)
+            system = (compile_circuit if mode is Mode.Z2 else compile_mixed)(circuit, a)
+            outputs = list(all_basis_strings(circuit.num_qubits)) * 3
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda b: eliminate(system, b), outputs))
+            assert got == [eliminate(dataclasses.replace(system), b) for b in outputs]
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_output_bits_are_read_mod_2_on_every_call():
     rng = np.random.default_rng(1818)
     for mode in (Mode.Z2, Mode.MIXED):
@@ -366,17 +389,28 @@ def test_errors_leave_no_elimination_state():
     assert eliminate(system, (1, 1, 0)).free_vars == ()
 
 
-def test_a_refused_rank_builds_no_echelon(monkeypatch):
+def test_a_refused_rank_substitutes_nothing(monkeypatch):
+    substitutions = []
+    substitute = counting._substitute
+
+    def spy(*args):
+        substitutions.append(args)
+        return substitute(*args)
+
+    monkeypatch.setattr(counting, "_substitute", spy)
     # Two H per qubit: eliminating the outputs leaves 3 of the 6 variables free.
     system = compile_mixed(Circuit(3, tuple(Gate.h(q) for q in range(3)) * 2, Mode.MIXED), (0, 0, 0))
     for b in all_basis_strings(3):
         with pytest.raises(counting.CapExceededError):
             counting._row(system, b, 2)
-        assert vars(system)[counting._ECHELON] == 3
+        assert isinstance(vars(system)[counting._ECHELON], counting._Echelon)
+        assert substitutions == []
     assert counting._row(system, (0, 0, 0), 3) == ([8, 0, 0, 0, 0, 0, 0, 0], 8)
-    assert isinstance(vars(system)[counting._ECHELON], counting._Echelon)
-    with pytest.raises(counting.CapExceededError):
-        counting._row(system, (1, 0, 1), 2)
+    assert len(substitutions) == 1
+    for b in all_basis_strings(3):
+        with pytest.raises(counting.CapExceededError):
+            counting._row(system, b, 2)
+    assert len(substitutions) == 1
 
 
 def test_one_substitution_in_the_reduce_layer():
@@ -413,7 +447,7 @@ def test_add_substituted_equals_the_object_substitution(drawn):
     start, coeff, masks, rows = drawn
     replacements = {var: free + [0] * rhs for var, (free, rhs) in rows.items()}
     got = dict(start)
-    counting._add_substituted(got, coeff, masks, replacements, _PIVOT_BITS)
+    counting._add_xor(got, coeff, counting._substituted(masks, replacements, _PIVOT_BITS))
     indicator = GF2Poly(masks)
     for var, replacement in replacements.items():
         indicator = indicator.substitute(var, GF2Poly(replacement))

@@ -4,8 +4,8 @@ eliminate reduces each output row only by the pivots it holds and
 back-substitutes once, so an H layer of n qubits (n one-variable rows)
 eliminates in about linear time, and it substitutes all pivots into
 each phase term in one visit, so a z2 phase is not rescanned per pivot.
-A system is row-reduced at most twice, however many outputs it is
-eliminated at, and what it keeps for that stays small.
+A system is row-reduced once, however many outputs it is eliminated
+at, and what it keeps for that stays small.
 The XOR expansion of the canonical Z8 map costs about its output, k +
 C(k,2) + C(k,3) terms for k monomials, and the cap is checked before
 the phase is substituted. normalize finds each TOFFOLI target's next
@@ -90,29 +90,44 @@ def test_a_20000_qubit_h_layer_eliminated_twice_keeps_little():
     system = compile_mixed(Circuit(n, tuple(Gate.h(q) for q in range(n)), Mode.MIXED), (0,) * n)
     tracemalloc.start()
     try:
-        for b in ((1,) * n, (0,) * n):  # the second call reduces with symbolic right-hand sides
+        # The first call row-reduces and keeps the rows, the second substitutes
+        # symbolically and drops them.
+        for b in ((1,) * n, (0,) * n):
             start = time.perf_counter()
             reduced = eliminate(system, b)
             assert time.perf_counter() - start < 5.0
             assert reduced.free_vars == () and not reduced.phase.terms
-        del reduced
-        kept, peak = tracemalloc.get_traced_memory()
+            del reduced
+            kept, peak = tracemalloc.get_traced_memory()
+            # The first call keeps 30 MB of rows and dependency masks and peaks at
+            # 32 MB, with the system itself 33 MB; the second keeps 0.3 MB. Keeping
+            # n-bit dependency masks beside the pivot rows kept 86 MB and peaked at 115 MB.
+            assert peak <= 62e6
+            assert kept <= 31e6
     finally:
         tracemalloc.stop()
     assert isinstance(vars(system)[counting._ECHELON], counting._Echelon)
-    # One elimination peaked at 31 MB, with the system itself 33 MB; keeping
-    # n-bit dependency masks beside the pivot rows kept 86 MB and peaked at 115 MB.
-    assert peak <= 62e6
-    assert kept <= 31e6
 
 
-def test_all_outputs_of_a_10_qubit_system_row_reduce_at_most_twice(monkeypatch):
+def test_a_second_output_of_a_2000_qubit_prefix_xor_system_is_not_row_reduced_again():
+    # H on every qubit, then a CNOT ladder: 2,000 dense prefix-XOR rows.
+    n = 2_000
+    gates = tuple(Gate.h(q) for q in range(n)) + tuple(Gate.cnot(q, q + 1) for q in range(n - 1))
+    system = compile_circuit(Circuit(n, gates, Mode.Z2), (1,) * n)
+    assert eliminate(system, (1,) * n).free_vars == ()
+    start = time.perf_counter()
+    reduced = eliminate(system, (0,) * n)
+    assert time.perf_counter() - start < 0.2  # row-reducing again took 0.85 s
+    assert reduced.free_vars == () and reduced.phase.evaluate_mask(0) == system.phase.evaluate_mask(0)
+
+
+def test_all_outputs_of_a_10_qubit_system_row_reduce_once(monkeypatch):
     reductions = []
     row_reduce = counting._row_reduce
 
-    def spy(system, seeds):
+    def spy(system):
         reductions.append(system)
-        return row_reduce(system, seeds)
+        return row_reduce(system)
 
     monkeypatch.setattr(counting, "_row_reduce", spy)
     rng = np.random.default_rng(10)
@@ -120,7 +135,7 @@ def test_all_outputs_of_a_10_qubit_system_row_reduce_at_most_twice(monkeypatch):
     system = compile_mixed(circuit, (0,) * 10)
     results = [eliminate(system, b) for b in all_basis_strings(10)]
     assert 0 < sum(r is None for r in results) < len(results)
-    assert len(reductions) <= 2
+    assert len(reductions) == 1
 
 
 def test_eliminate_substitutes_a_large_z2_phase_in_one_pass():
