@@ -187,10 +187,12 @@ def format_bits(bits: Sequence[int]) -> str:
 
 
 def bits_to_index(bits: Sequence[int]) -> int:
-    """Dense state-vector index of a basis string; qubit 0 is the low bit."""
+    """Dense state-vector index of a basis string; qubit 0 is the low bit.
+    Each bit is read mod 2 as int(bit & 1): Python and numpy integers and
+    bools pack exactly at any width, and a float or str bit raises TypeError."""
     index = 0
     for q, bit in enumerate(bits):
-        index |= (bit & 1) << q
+        index |= int(bit & 1) << q
     return index
 
 

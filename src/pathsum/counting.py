@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .circuit import BasisString, Circuit, index_to_bits
+from .circuit import BasisString, Circuit, bits_to_index, index_to_bits
 from .compile_z2 import PathSystem, compile_mixed
 from .gf2poly import GF2Poly, MixedPhase, _add_xor, _from_z8, _mask_vars, _z8
 
@@ -208,13 +208,13 @@ def eliminate(system: PathSystem, output_bits: Sequence[int]) -> Reduced | None:
 
     B does not depend on b, so a system is row-reduced once, by its
     first elimination, into the _Echelon kept in its __dict__ for as
-    long as the system lives; every elimination restricts it to b. An
-    error (a wrong length of b, an output that is not affine) records
-    nothing.
+    long as the system lives; every elimination restricts it to b, which
+    _eliminate packs with bits_to_index (each bit read mod 2). An error
+    (a wrong length of b, an output that is not affine) records nothing.
     """
     if len(output_bits) != system.num_qubits:
         raise ValueError("output length must match the qubit count")
-    solved = _eliminate(system, tuple(bit & 1 for bit in output_bits))
+    solved = _eliminate(system, output_bits)
     if solved is None:
         return None
     free_vars, terms = solved
@@ -224,17 +224,18 @@ def eliminate(system: PathSystem, output_bits: Sequence[int]) -> Reduced | None:
 
 
 def _eliminate(
-    system: PathSystem, b: tuple[int, ...], cap: int | None = None
+    system: PathSystem, output_bits: Sequence[int], cap: int | None = None
 ) -> tuple[tuple[int, ...], dict[int, int]] | None:
-    """eliminate at the bits b, as (free variables, Z8 map): the system's
-    _Echelon, built on its first call, refutes b by a parity test per
-    vanished row; the cap, when one is given, is checked on the free
-    variables before the echelon is restricted, so a rank it refuses
-    substitutes nothing."""
+    """eliminate at b, as (free variables, Z8 map): b is packed by
+    bits_to_index into _row_reduce's word, and the system's _Echelon,
+    built on its first call, refutes it by a parity test per vanished
+    row; the cap, when one is given, is checked on the free variables
+    before the echelon is restricted, so a rank it refuses substitutes
+    nothing."""
     echelon = vars(system).get(_ECHELON)
     if echelon is None:
         echelon = vars(system)[_ECHELON] = _Echelon(system)
-    word = 1 | sum(bit << (j + 1) for j, bit in enumerate(b))
+    word = 1 | bits_to_index(output_bits) << 1
     if any((dep & word).bit_count() & 1 for dep in echelon.checks):
         return None
     if cap is not None:
@@ -473,7 +474,7 @@ def _row(system: PathSystem, output_bits: Sequence[int], cap: int) -> tuple[list
     """Output b's tally row at the phase's width, and the paths reaching b.
 
     Affine outputs are eliminated by _eliminate, as eliminate does it, so
-    the system keeps its _Echelon from its second output on (an
+    the system keeps its _Echelon from its first output on (an
     inconsistent B(x) = b reaches no path), and the rest reduced by
     _reduced_row; other outputs filter the sweep over all 2^h paths.
     After reduction the row keeps its value but its entries are no
@@ -481,13 +482,13 @@ def _row(system: PathSystem, output_bits: Sequence[int], cap: int) -> tuple[list
     """
     if len(output_bits) != system.num_qubits:
         raise ValueError("output length must match the qubit count")
-    b = tuple(bit & 1 for bit in output_bits)
     h = system.num_path_vars
     _check_cap(0, cap)  # refuses a negative cap even where elimination refutes b
     if any(poly.degree > 1 for poly in system.outputs):
+        b = tuple(bit & 1 for bit in output_bits)
         (row,) = _tally(h, system.outputs, system.phase, b, cap).tolist()
         return row, sum(row)
-    solved = _eliminate(system, b, cap)
+    solved = _eliminate(system, output_bits, cap)
     if solved is None:
         return [0] * _modulus(system.phase), 0
     free_vars, terms = solved

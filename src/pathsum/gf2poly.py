@@ -244,23 +244,19 @@ class GF2Poly:
     __rmul__ = __mul__
 
     def evaluate(self, assignment: Mapping[int, int]) -> int:
-        """Evaluate at a point given as a variable -> bit mapping.
+        """Evaluate at a point given as a variable -> bit mapping, each
+        value read mod 2, by packing it for evaluate_mask.
 
         Every variable in the support must be assigned, otherwise
-        ValueError is raised.
+        ValueError names the lowest one that is not.
         """
-        total = 0
-        for mask in self._masks:
-            product = 1
-            for index in _mask_vars(mask):
-                try:
-                    product &= assignment[index] & 1
-                except KeyError:
-                    raise ValueError(f"no value for variable x{index}") from None
-                if not product:
-                    break
-            total ^= product
-        return total
+        point = 0
+        for index in sorted(self.support()):
+            try:
+                point |= int(assignment[index] & 1) << index
+            except KeyError:
+                raise ValueError(f"no value for variable x{index}") from None
+        return self.evaluate_mask(point)
 
     def evaluate_mask(self, point: int) -> int:
         """Evaluate at a point packed as a bitmask (bit i = value of x_i)."""

@@ -97,6 +97,15 @@ class TestBasisStrings:
         for index, bits in enumerate(strings):
             assert bits_to_index(bits) == index
 
+    def test_numpy_bits_pack_exactly_at_any_width(self):
+        for dtype in (np.int64, bool):
+            index = bits_to_index(np.ones(70, dtype=dtype))
+            assert index == (1 << 70) - 1 and type(index) is int
+        assert bits_to_index(np.array([3, 2, 1], dtype=np.uint8)) == 0b101  # read mod 2
+        for bad in ((0, 1.0), (np.float64(1),), ("1",)):
+            with pytest.raises(TypeError):
+                bits_to_index(bad)
+
 
 class TestTextFormat:
     def test_parse_well_formed(self):
@@ -137,6 +146,10 @@ class TestTextFormat:
             parse_circuit(text)
         assert err.value.line == line
         assert f"line {line}:" in str(err.value)
+
+    def test_a_gate_where_the_qubit_count_belongs(self):
+        with pytest.raises(CircuitSyntaxError, match="line 2: expected 'qubits N'"):
+            parse_circuit("mode z2\nh 0\n")
 
     def test_render_parse_round_trip_random(self):
         rng = np.random.default_rng(3)
@@ -238,3 +251,14 @@ class TestRandomCircuit:
         c = random_circuit(1, 10, Mode.Z2, rng)
         assert len(c.gates) == 10
         assert {g.kind for g in c.gates} <= {GateKind.X, GateKind.H}
+
+    def test_no_qubit_is_refused(self):
+        with pytest.raises(ValueError, match="circuit needs at least one qubit"):
+            random_circuit(0, 3, Mode.Z2, np.random.default_rng(13))
+
+    def test_drawing_stops_when_no_kind_is_usable(self):
+        rng = np.random.default_rng(14)
+        # A CNOT needs two qubits; after two H gates, H is used up too.
+        assert random_circuit(1, 5, Mode.Z2, rng, kinds=(GateKind.CNOT,)).gates == ()
+        c = random_circuit(2, 5, Mode.Z2, rng, max_hadamards=2, kinds=(GateKind.H,))
+        assert [g.kind for g in c.gates] == [GateKind.H, GateKind.H]

@@ -212,6 +212,15 @@ class TestSample:
         args = ("sample", GOLDEN, "--in", "000", "--out", "000", "--seed", "3")
         assert cli(*args) == cli(*args)
 
+    def test_cap_exceeded_prints_the_estimate_alone(self, cli):
+        code, out, _ = cli(
+            "sample", GOLDEN, "--in", "000", "--out", "000", "--cap", "0", "--samples", "64",
+        )
+        assert code == 0
+        assert [line.split(" = ")[0] for line in out.splitlines()] == [
+            "estimate", "std_error", "samples", "generator",
+        ]
+
     def test_mixed_mode_rejected(self, cli):
         code, _, err = cli("sample", HTH, "--in", "0", "--out", "0")
         assert code == 1
@@ -234,6 +243,23 @@ class TestStats:
         code, out, _ = cli("stats", AND_ORACLE, "--normalize")
         assert code == 0
         assert "h = 2" in out
+
+    def test_z2_bounds_exceeded(self, cli, tmp_path):
+        path = tmp_path / "parity.circ"
+        path.write_text("mode z2\nqubits 3\nh 0\nh 1\nh 2\ncx 0 2\ncx 1 2\n", encoding="utf-8")
+        code, out, _ = cli("stats", str(path))
+        assert code == 0
+        assert "normalized-form bounds: exceeded (terms(B_2) = 3 > 2)" in out
+
+    def test_mixed_canonical_degree_above_2(self, cli, tmp_path):
+        path = tmp_path / "parity_t.circ"
+        path.write_text(
+            "mode mixed\nqubits 3\nh 0\nh 1\nh 2\ncx 0 2\ncx 1 2\nt 2\n", encoding="utf-8"
+        )
+        code, out, _ = cli("stats", str(path))
+        assert code == 0
+        assert "phase: raw terms 1, canonical terms 7, canonical degree 3\n" in out
+        assert out.endswith("canonical degree exceeds 2: kept exactly, not truncated\n")
 
 
 class TestUsage:

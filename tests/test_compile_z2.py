@@ -187,6 +187,29 @@ class TestPathCountCheck:
         with pytest.raises(BoundViolationError, match="terms"):
             path_count_check(ps)
 
+    def test_chained_toffolis_violate_the_phase_degree(self):
+        gates = (
+            Gate.h(0), Gate.h(1), Gate.h(2),
+            Gate.toffoli(0, 1, 3), Gate.toffoli(2, 3, 4), Gate.h(4),
+        )
+        ps = compile_circuit(Circuit(5, gates, Mode.Z2), (0,) * 5)
+        with pytest.raises(BoundViolationError, match=r"deg\(phase\) = 4 > 3"):
+            path_count_check(ps)
+
+    def test_wide_parities_violate_the_phase_term_bound(self):
+        # Qubits 10 and 11 hold the parities of x1..x5 and x6..x10; the
+        # Toffoli's product of the two has 25 terms, and the last H puts
+        # them in the phase.
+        gates = (
+            tuple(Gate.h(q) for q in range(10))
+            + tuple(Gate.cnot(q, 10) for q in range(5))
+            + tuple(Gate.cnot(q, 11) for q in range(5, 10))
+            + (Gate.toffoli(10, 11, 12), Gate.h(12))
+        )
+        ps = compile_circuit(Circuit(13, gates, Mode.Z2), (0,) * 13)
+        with pytest.raises(BoundViolationError, match=r"terms\(phase\) = 25 > 2h = 22"):
+            path_count_check(ps)
+
 
 class TestSerialization:
     def test_dict_round_trip(self, golden_circuit):

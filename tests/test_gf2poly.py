@@ -119,6 +119,14 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             p.evaluate({1: 1})
 
+    def test_evaluate_refuses_an_unassigned_variable_beside_a_zero_factor(self):
+        p = GF2Poly.from_terms([[1, 2]])
+        with pytest.raises(ValueError, match="no value for variable x2"):
+            p.evaluate({1: 0})
+        with pytest.raises(ValueError, match="no value for variable x1"):
+            p.evaluate({})  # the lowest unassigned variable is named
+        assert p.evaluate({1: np.int64(3), 2: np.True_}) == 1  # values read mod 2
+
     def test_evaluate_mask_agrees_with_evaluate(self):
         rng = np.random.default_rng(1)
         for _ in range(50):

@@ -64,6 +64,10 @@ class TestMixedPhase:
         assert phase.evaluate({1: 1, 2: 1}) == 5
         assert phase.evaluate_mask(0b110) == 5
 
+    def test_evaluate_refuses_an_unassigned_variable(self):
+        with pytest.raises(ValueError, match="no value for variable x2"):
+            MixedPhase(((1, var(1) * var(2)),)).evaluate({1: 0})
+
     def test_values_matches_scalar_evaluation(self):
         rng = np.random.default_rng(30)
         points = np.arange(64, dtype=np.uint64)

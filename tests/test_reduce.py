@@ -367,6 +367,32 @@ def test_output_bits_are_read_mod_2_on_every_call():
                 assert counting._amplitude(system, wide, 30) == counting._amplitude(system, b, 30)
 
 
+def _prefix_xor(n: int, t: bool) -> Circuit:
+    """H on every qubit, then cx q q+1, and with t a T gate on every qubit:
+    each output has exactly one path."""
+    gates = tuple(Gate.h(q) for q in range(n)) + tuple(Gate.cnot(q, q + 1) for q in range(n - 1))
+    if t:
+        return Circuit(n, gates + tuple(Gate.p(1, q) for q in range(n)), Mode.MIXED)
+    return Circuit(n, gates, Mode.Z2)
+
+
+def test_numpy_output_bits_are_read_exactly_past_63_qubits():
+    n = 70
+    rng = np.random.default_rng(7070)
+    z2 = compile_circuit(_prefix_xor(n, False), (1,) * n)
+    mixed = compile_mixed(_prefix_xor(n, True), (1,) * n)
+    for _ in range(20):
+        b = rng.integers(0, 2, size=n)
+        plain = tuple(int(bit) for bit in b)
+        assert count(z2, b) == count(z2, plain)
+        assert counting._amplitude(mixed, b, 30) == counting._amplitude(mixed, plain, 30)
+    for n in (62, 63, 70):
+        system = compile_circuit(Circuit(n, tuple(Gate.x(q) for q in range(n)), Mode.Z2), (0,) * n)
+        reduced = eliminate(system, np.ones(n, dtype=np.int64))
+        assert reduced == eliminate(system, (1,) * n) and reduced.free_vars == ()
+        assert eliminate(system, np.zeros(n, dtype=np.int64)) is None
+
+
 def test_errors_leave_no_elimination_state():
     # q0 is the constant 1, so b = 0 is refuted by its row; q3 = x1*x2 is not affine.
     gates = (Gate.x(0), Gate.h(1), Gate.h(2), Gate.toffoli(1, 2, 3))
