@@ -11,6 +11,7 @@ significant bit of a dense state-vector index.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -201,9 +202,10 @@ def index_to_bits(index: int, num_qubits: int) -> BasisString:
 
 
 def all_basis_strings(num_qubits: int) -> Iterator[BasisString]:
-    """All basis strings in state-vector index order."""
-    for index in range(1 << num_qubits):
-        yield index_to_bits(index, num_qubits)
+    """All basis strings in state-vector index order: qubit q is bit q
+    of the index, so the last qubit varies slowest."""
+    for bits in itertools.product((0, 1), repeat=num_qubits):
+        yield bits[::-1]
 
 
 def _convert(convert, word: str, complaint: str):

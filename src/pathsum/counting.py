@@ -28,13 +28,20 @@ kernel: the free variables after elimination, checked once by _row
 amplitude_mixed, or all h for a sweep (non-affine outputs, distribution
 and count_all).
 
-_block_tally owns the packed-path format: it packs path indices into
-uint64 words (x_i at bit i, so at most 63 variables) and tallies them
-by output and phase value. _tally feeds it all 2^k indices in
-fixed-size blocks, folding each block into a running sum so memory
-stays bounded; blocks can run on a thread pool sized by the
-PATHSUM_THREADS environment variable. The Monte Carlo sampler feeds it
-random draws instead.
+The kernel, _tally, counts all 2^k paths (path index bit i - 1 is x_i,
+so at most 63 variables) by output and phase value in fixed-size
+blocks, folding each block into a running sum so memory stays bounded;
+blocks can run on a thread pool sized by the PATHSUM_THREADS
+environment variable. A block fixes the high path bits, and each
+polynomial, restricted to it, is tabulated at all its paths at once by
+the subset-sum (Moebius) transform of its algebraic normal form: L
+passes over 2^L entries, whatever its number of terms (Joux,
+Algorithmic Cryptanalysis, ch. 9; Bouillaguet et al., CHES 2010). Z2
+polynomials share a table as the bits of its entries, summed by XOR;
+a mixed phase, as the reduce layer's Z8 map, is summed mod 256 in a
+uint8 table. _block_tally evaluates packed points monomial by monomial
+instead: it is the Monte Carlo sampler's evaluator of its random
+draws, and both count their paths' keys with _count_keys.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .circuit import BasisString, Circuit, bits_to_index, index_to_bits
+from .circuit import BasisString, Circuit, all_basis_strings, bits_to_index
 from .compile_z2 import PathSystem, compile_mixed
 from .gf2poly import GF2Poly, MixedPhase, _add_xor, _from_z8, _mask_vars, _z8
 
@@ -92,16 +99,21 @@ def _check_packed(k: int) -> None:
 
 def _check_cap(k: int, cap: int, h: int | None = None) -> None:
     """Refuse to enumerate k path variables, of a system's h (default k),
-    beyond the cap or the packed-path limit."""
+    beyond the packed-path limit, which no cap lifts, or the cap."""
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    if k > cap:
+    if k <= min(cap, _MAX_PATH_VARS):
+        return
+    span = f"enumeration over 2^{k} assignments ({k} path variables to enumerate, h = {k if h is None else h})"
+    if k > _MAX_PATH_VARS:
         raise CapExceededError(
-            f"enumeration over 2^{k} assignments ({k} path variables to enumerate, "
-            f"h = {k if h is None else h}) exceeds the cap of 2^{cap}; "
-            "raise --cap, or estimate the amplitude with pathsum sample (z2-mode circuits only)"
+            f"{span} exceeds the packed-path limit of {_MAX_PATH_VARS} "
+            "variables (paths are packed in 64-bit words) at any cap"
         )
-    _check_packed(k)
+    raise CapExceededError(
+        f"{span} exceeds the cap of 2^{cap}; "
+        "raise --cap, or estimate the amplitude with pathsum sample (z2-mode circuits only)"
+    )
 
 
 def _worker_count() -> int:
@@ -120,10 +132,18 @@ def _modulus(phase: GF2Poly | MixedPhase) -> int:
     return 2 if isinstance(phase, GF2Poly) else 8
 
 
+def _count_keys(key: np.ndarray, count: int, modulus: int) -> np.ndarray:
+    """The table of paths by output and phase value from each path's key:
+    its phase value, then the value of keyed output j at bit j + log2(modulus)."""
+    return np.bincount(key.astype(np.intp, copy=False), minlength=modulus << count).reshape(-1, modulus)
+
+
 def _block_tally(
     points: np.ndarray, outputs: Sequence[GF2Poly], phase: GF2Poly | MixedPhase, target: Sequence[int] | None
 ) -> np.ndarray:
-    """Count the paths with the given uint64 indices by output and phase value.
+    """Count the paths with the given uint64 indices by output and phase
+    value, evaluating each polynomial at every point monomial by monomial:
+    the Monte Carlo sampler's evaluator of its random draws.
 
     Columns are phase values: mod 2 for a GF2Poly phase, mod 8 for a
     MixedPhase. With a target basis string the one row counts the paths
@@ -142,7 +162,53 @@ def _block_tally(
     key = phase.values(points).astype(np.intp)
     for j, poly in enumerate(keyed):
         key |= poly.values(points).astype(np.intp) << (j + shift)
-    return np.bincount(key, minlength=modulus << len(keyed)).reshape(-1, modulus)
+    return _count_keys(key, len(keyed), modulus)
+
+
+# Z2 polynomials tabulated as the bits of one integer per path, at most this many to a table.
+_LANES = 64
+
+
+def _anf(masks: Sequence[int], weights: Sequence[int], dtype: type, bits: int) -> tuple[np.ndarray, ...]:
+    """Weighted monomials as arrays (place, high, weights): moved to path
+    index bits (x_i at bit i - 1), a monomial's low bits place it in a
+    table of 2^bits paths and its high bits are the block prefixes it needs."""
+    index = np.array(masks, dtype=np.uint64) >> np.uint64(1)
+    place = (index & np.uint64((1 << bits) - 1)).astype(np.intp)
+    return place, index >> np.uint64(bits), np.array(weights, dtype=dtype)
+
+
+def _truth_table(anf: tuple[np.ndarray, ...], outside: np.uint64 | None, bits: int, op: np.ufunc) -> np.ndarray:
+    """The sum by op of the weighted monomials given by _anf at the 2^bits
+    paths of the block whose prefix holds no bit of outside (None for the
+    one block of a tally), in an order of the paths that depends on bits
+    alone: np.bitwise_xor for Z2 polynomials, one to a bit of the weights,
+    and np.add for a Z8 phase, whose uint8 sums wrap mod 256.
+
+    Restricted to the block, a monomial whose high part holds a bit of
+    outside is 0 and the others are their low parts; they are placed in
+    a table at their low parts and summed over subsets (the Moebius
+    transform of the algebraic normal form) by one pass per bit. A pass
+    over a low bit works on runs of a few entries, so the high half of
+    the bits is summed first and the table then transposed, which makes
+    the low half the high bits of the order returned.
+    """
+    place, high, weights = anf
+    if outside is not None:
+        kept = high & outside == 0
+        place, weights = place[kept], weights[kept]
+    table = np.zeros(1 << bits, dtype=weights.dtype)
+    op.at(table, place, weights)
+    low = bits // 2
+    for i in range(low, bits):
+        pairs = table.reshape(-1, 2, 1 << i)
+        op(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+    if low:
+        table = table.reshape(-1, 1 << low).T.copy().reshape(-1)
+    for i in range(bits - low, bits):
+        pairs = table.reshape(-1, 2, 1 << i)
+        op(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+    return table
 
 
 def _fold(k: int, work: Callable[[int, int], np.ndarray]) -> np.ndarray:
@@ -167,17 +233,66 @@ def _fold(k: int, work: Callable[[int, int], np.ndarray]) -> np.ndarray:
     return total
 
 
-def _tally(k: int, outputs: Sequence[GF2Poly], phase, target: Sequence[int] | None, cap: int) -> np.ndarray:
-    """The _block_tally table of all 2^k paths."""
+def _tally(
+    k: int,
+    outputs: Sequence[GF2Poly],
+    phase: GF2Poly | MixedPhase | Mapping[int, int],
+    target: Sequence[int] | None,
+    cap: int,
+) -> np.ndarray:
+    """The _block_tally table of all 2^k paths; the phase may also be the
+    reduce layer's Z8 map, tallied mod 8.
+
+    Each block of 2^L paths fixes the high path bits to its prefix, and
+    _truth_table tabulates the polynomials on it in L * 2^L steps whatever
+    their number of terms: a z2 phase and the outputs, XORed with the
+    target if there is one, as the bits of lanes of up to _LANES bits (a
+    z2 phase is bit 0 of the first), and a mixed phase as a Z8 table of
+    its own. Each path's key for _count_keys is read off the tables, and
+    the blocks are folded by _fold.
+    """
     _check_cap(k, cap)
     keyed = outputs if target is None else ()
     if len(keyed) > _MAX_OUTPUT_QUBITS:
         raise CapExceededError(
             f"full distribution over {len(keyed)} qubits exceeds the {_MAX_OUTPUT_QUBITS}-qubit cap"
         )
+    bits = min(k, _BLOCK_BITS)
+    wanted = [int(bit) for bit in target or ()]
+    # The tables, the first with the phase value in its low bits: a z2
+    # phase is bit 0 of the first lane table, a mixed phase a Z8 table of
+    # its own. Lane j of the lanes starts at bit base + j of a path's key.
+    if isinstance(phase, GF2Poly):
+        modulus, lanes, wanted, base, anfs = 2, [phase, *outputs], [0, *wanted], 0, []
+    else:
+        terms = _z8(phase) if isinstance(phase, MixedPhase) else phase
+        modulus, lanes, base = 8, list(outputs), 3
+        anfs = [(_anf(list(terms), list(terms.values()), np.uint8, bits), np.add)]
+    offsets = [0] * len(anfs)
+    for first in range(0, len(lanes), _LANES):
+        group = lanes[first : first + _LANES]
+        dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).bits >= len(group))
+        masks = [mask for poly in group for mask in poly.masks]
+        weights = [1 << j for j, poly in enumerate(group) for _ in poly.masks]
+        # The target as a constant: the paths that reach it read 0 in every output's bit.
+        constant = sum(bit << j for j, bit in enumerate(wanted[first : first + _LANES]))
+        anfs.append((_anf([*masks, 0], [*weights, constant], dtype, bits), np.bitwise_xor))
+        offsets.append(base + first)
 
     def work(start: int, stop: int) -> np.ndarray:
-        return _block_tally(np.arange(start, stop, dtype=np.uint64), outputs, phase, target)
+        outside = ~np.uint64(start >> bits) if k > bits else None
+        tables = [_truth_table(anf, outside, bits, op) for anf, op in anfs]
+        if modulus == 8:
+            tables[0] &= np.uint8(7)
+        if target is None:
+            key = tables[0]
+            for table, offset in zip(tables[1:], offsets[1:]):
+                key = key | table.astype(np.intp) << offset
+            return _count_keys(key, len(keyed), modulus)
+        keep = tables[0] < modulus  # no output bit of the first table is set
+        for table in tables[1:]:
+            keep &= table == 0
+        return _count_keys(tables[0][keep], 0, modulus)
 
     return _fold(k, work)
 
@@ -455,18 +570,17 @@ def _reduce(terms: dict[int, int], free_vars: Sequence[int]) -> tuple[int, dict[
 def _reduced_row(terms: dict[int, int], free_vars: Sequence[int], width: int, cap: int) -> list[int]:
     """The tally row of sum_y w^phase(y) over the free variables, at the
     width 2 (z2) or 8 (mixed): _reduce on the phase's Z8 map terms, then
-    the remaining variables relabelled to 1..k, tallied and scaled by
-    2^doublings. Exact, so its value equals the unreduced one. Its callers
-    check the cap on the free variables passed in; _tally checks the k left."""
+    the remaining variables relabelled to 1..k in the map, which _tally
+    takes as it is, and the row scaled by 2^doublings. Exact, so its
+    value equals the unreduced one. Its callers check the cap on the free
+    variables passed in; _tally checks the k left."""
     reduced = _reduce(terms, free_vars)
     if reduced is None:
         return [0] * width
     doublings, terms, rest = reduced
     bit = {var: 1 << i for i, var in enumerate(rest, 1)}
-    local = MixedPhase(tuple(
-        (c, GF2Poly._raw(frozenset((sum(bit[v] for v in _mask_vars(mask)),)))) for mask, c in terms.items()
-    ))
-    (row,) = _tally(len(rest), (), local, (), cap).tolist()
+    local = {sum(bit[v] for v in _mask_vars(mask)): c for mask, c in terms.items()}
+    (row,) = _tally(len(rest), (), local, None, cap).tolist()
     return [n << doublings for n in row[:: 8 // width]]  # a z2 phase 4*f takes the values 0 and 4
 
 
@@ -603,8 +717,8 @@ def count_all(system: PathSystem, cap: int = DEFAULT_CAP) -> dict[BasisString, C
     h = system.num_path_vars
     table = _tally(h, system.outputs, system.phase, None, cap)
     return {
-        index_to_bits(i, system.num_qubits): CountPair(c0, c1, h)
-        for i, (c0, c1) in enumerate(table.tolist())
+        bits: CountPair(c0, c1, h)
+        for bits, (c0, c1) in zip(all_basis_strings(system.num_qubits), table.tolist())
     }
 
 
@@ -629,8 +743,8 @@ def distribution(system: PathSystem, cap: int = DEFAULT_CAP) -> dict[BasisString
     h = system.num_path_vars
     table = _tally(h, system.outputs, system.phase, None, cap)
     return {
-        index_to_bits(i, system.num_qubits): _value(row, h)
-        for i, row in enumerate(table.tolist())
+        bits: _value(row, h)
+        for bits, row in zip(all_basis_strings(system.num_qubits), table.tolist())
         if any(row)
     }
 

@@ -7,9 +7,10 @@ like 2^h for amplitudes of order one, so the standard error at fixed
 sample count doubles roughly every four Hadamards: an exponential wall
 that the exact counting kernel does not hit.
 
-Samples are drawn in blocks of at most 2^20 and tallied by the
-counting kernel's _block_tally; only the counts of +1 and -1 scores are
-kept, so memory does not grow with the sample count. At most 2^30
+Samples are drawn in blocks of at most 2^20 and tallied by counting's
+_block_tally, which evaluates the polynomials at each draw monomial by
+monomial; only the counts of +1 and -1 scores are kept, so memory does
+not grow with the sample count. At most 2^30
 samples are drawn, about half a minute at 0.03 s per block.
 """
 

@@ -97,6 +97,10 @@ class TestBasisStrings:
         for index, bits in enumerate(strings):
             assert bits_to_index(bits) == index
 
+    def test_all_basis_strings_are_index_to_bits_in_index_order(self):
+        for n in range(1, 11):
+            assert list(all_basis_strings(n)) == [index_to_bits(i, n) for i in range(1 << n)]
+
     def test_numpy_bits_pack_exactly_at_any_width(self):
         for dtype in (np.int64, bool):
             index = bits_to_index(np.ones(70, dtype=dtype))

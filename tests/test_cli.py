@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,7 @@ GOLDEN = str(CIRCUITS_DIR / "toffoli_h_3q.circ")
 HTH = str(CIRCUITS_DIR / "hth.circ")
 BELL = str(CIRCUITS_DIR / "bell.circ")
 AND_ORACLE = str(CIRCUITS_DIR / "and_oracle.circ")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -193,6 +198,19 @@ class TestVerify:
         code, _, err = cli("verify", str(path), "--exhaustive")
         assert code == 1
         assert "exhaustive" in err
+
+
+class TestModule:
+    def test_python_dash_m_runs_the_command_line(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        run = subprocess.run(
+            [sys.executable, "-m", "pathsum", "amplitude", BELL, "--in", "00", "--out", "11"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "1/2^(1/2) = 0.707106781187\n"
+        usage = subprocess.run([sys.executable, "-m", "pathsum"], capture_output=True, text=True, env=env, timeout=60)
+        assert usage.returncode == 1 and usage.stderr.startswith("usage:")
 
 
 class TestSample:

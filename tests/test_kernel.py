@@ -1,11 +1,17 @@
-"""Tests for the shared gate sweep and the block-tally kernel.
+"""Tests for the shared gate sweep and the truth-table kernel.
 
-The mixed distribution sweep is checked entry for entry against the
-per-output elimination loop it replaced and against the dense
-simulator; every kernel caller is checked for identical results with
-blocks spread over threads; the fold is checked to stream its blocks;
-and the 63-variable packed-path limit is checked at the library and
-the command line.
+The kernel tabulates each polynomial on a block of paths by the
+subset-sum transform of its monomials; it is checked table for table
+against per-monomial evaluation of every path (_block_tally, the Monte
+Carlo sampler's evaluator) and against the dense simulator, with blocks
+small enough that each restricts the polynomials to a high prefix, and
+every exhaustive entry point is checked to run without evaluating a
+polynomial monomial by monomial. The mixed distribution sweep is
+checked entry for entry against the per-output elimination loop it
+replaced and against the dense simulator; every kernel caller is
+checked for identical results with blocks spread over threads; the fold
+is checked to stream its blocks; and the 63-variable packed-path limit
+is checked at the library and the command line.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import pytest
 from pathsum import (
     CapExceededError,
     Circuit,
+    CyclotomicValue,
     Gate,
     GateKind,
     GF2Poly,
@@ -30,6 +37,7 @@ from pathsum import (
     compile_mixed,
     count,
     count_all,
+    distribution,
     distribution_mixed,
     eliminate,
     estimate_amplitude,
@@ -68,6 +76,90 @@ def hadamard_chain(h: int) -> Circuit:
 
 # h = 64 with the non-affine output x1*x2 on qubit 2, which sweeps all 2^h paths.
 NON_AFFINE_64 = "mode z2\nqubits 3\nh 0\nh 1\nccx 0 1 2\n" + "h 0\n" * 62
+
+
+def per_monomial(h: int, outputs, phase, target) -> np.ndarray:
+    """The table of all 2^h paths by per-monomial evaluation of each path."""
+    return counting._block_tally(np.arange(1 << h, dtype=np.uint64), outputs, phase, target)
+
+
+def exact(value) -> complex:
+    return value.as_complex() if isinstance(value, CyclotomicValue) else value.as_float()
+
+
+def compiled(rng: np.random.Generator, mode: Mode, max_h: int):
+    n = int(rng.integers(1, 5))
+    circuit = random_circuit(n, int(rng.integers(0, 30)), mode, rng, max_hadamards=max_h)
+    a = random_bits(rng, n)
+    system = (compile_circuit if mode is Mode.Z2 else compile_mixed)(circuit, a)
+    return system, simulate(circuit, a)
+
+
+class TestTruthTableKernel:
+    @pytest.mark.parametrize("block_bits, lanes", [(1, 64), (3, 2), (20, 64)])
+    def test_equals_per_monomial_evaluation_and_refsim(self, block_bits, lanes, monkeypatch):
+        # Blocks of 2^1 and 2^3 paths restrict every polynomial to a high
+        # prefix; lanes of 2 bits spread the outputs over several tables.
+        monkeypatch.setattr(counting, "_BLOCK_BITS", block_bits)
+        monkeypatch.setattr(counting, "_LANES", lanes)
+        rng = np.random.default_rng(2100 + block_bits)
+        prefixed = 0
+        for trial in range(60):
+            mode = (Mode.Z2, Mode.MIXED)[trial % 2]
+            system, state = compiled(rng, mode, 9)
+            h, outputs, phase = system.num_path_vars, system.outputs, system.phase
+            # The same phase as a Z8 map, tallied mod 8: a z2 phase f is 4*f.
+            z8, mixed = (dict.fromkeys(phase.masks, 4), MixedPhase(((4, phase),))) if mode is Mode.Z2 else (
+                counting._z8(phase), phase
+            )
+            table = counting._tally(h, outputs, phase, None, 30)
+            assert np.array_equal(table, per_monomial(h, outputs, phase, None))
+            assert np.array_equal(counting._tally(h, outputs, z8, None, 30), per_monomial(h, outputs, mixed, None))
+            for index, row in enumerate(table.tolist()):
+                assert abs(exact(counting._value(row, h)) - state[index]) < 1e-10
+            b = random_bits(rng, len(outputs))
+            (row,) = counting._tally(h, outputs, phase, b, 30).tolist()
+            assert row == per_monomial(h, outputs, phase, b).tolist()[0]
+            assert row == table[bits_to_index(b)].tolist()
+            assert np.array_equal(counting._tally(h, outputs, z8, b, 30), per_monomial(h, outputs, mixed, b))
+            prefixed += h > block_bits
+        assert prefixed > 20 or block_bits == 20
+
+    def test_monomials_that_meet_in_a_block_cancel(self, monkeypatch):
+        # In the blocks where x3 = 1, x1 and x1*x3 both restrict to x1.
+        monkeypatch.setattr(counting, "_BLOCK_BITS", 1)
+        poly = GF2Poly.from_terms([[1], [1, 3], [2, 3]])
+        for phase in (poly, MixedPhase(((1, poly), (2, GF2Poly.from_terms([[1, 2, 3]]))))):
+            for target in (None, (0,), (1,)):
+                assert np.array_equal(
+                    counting._tally(3, (poly,), phase, target, 30), per_monomial(3, (poly,), phase, target)
+                )
+
+    def test_exhaustive_tallies_never_evaluate_monomial_by_monomial(self, monkeypatch):
+        def per_monomial_values(*args):
+            raise AssertionError("an exhaustive tally evaluated a polynomial monomial by monomial")
+
+        monkeypatch.setattr(GF2Poly, "values", per_monomial_values)
+        monkeypatch.setattr(MixedPhase, "values", per_monomial_values)
+        rng = np.random.default_rng(2101)
+        swept = 0
+        for trial in range(60):
+            mode = (Mode.Z2, Mode.MIXED)[trial % 2]
+            system, state = compiled(rng, mode, 8)
+            h, n = system.num_path_vars, system.num_qubits
+            b = random_bits(rng, n)
+            amplitudes = distribution(system)
+            got = exact(amplitudes[b]) if b in amplitudes else 0
+            assert abs(got - state[bits_to_index(b)]) < 1e-10
+            if mode is Mode.Z2:
+                swept += any(poly.degree > 1 for poly in system.outputs)
+                assert count(system, b) == count_all(system)[b]
+            else:
+                reduced = eliminate(system, b)
+                if reduced is not None:
+                    value = amplitude_mixed(reduced.phase, reduced.free_vars, h)
+                    assert abs(value.as_complex() - state[bits_to_index(b)]) < 1e-10
+        assert swept > 3  # count took the sweep over all 2^h paths
 
 
 class TestSharedSweep:

@@ -98,6 +98,19 @@ class TestH64Chain:
         assert "raise --cap" in err and "pathsum sample (z2-mode circuits only)" in err
 
 
+def test_beyond_the_packed_limit_the_message_does_not_ask_for_a_larger_cap(tmp_path, capsys):
+    # h q; h q on every qubit: elimination leaves the 137 first-layer variables free.
+    n = 137
+    path = tmp_path / "identity137.circ"
+    path.write_text(f"mode z2\nqubits {n}\n" + "".join(f"h {q}\nh {q}\n" for q in range(n)), encoding="utf-8")
+    code = main(["amplitude", str(path), "--in", "0" * n, "--out", "0" * n, "--cap", "100"])
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    assert "137 path variables to enumerate, h = 274" in err
+    assert "packed-path limit of 63" in err
+    assert "raise --cap" not in err and "pathsum sample" not in err
+
+
 def test_sweeps_still_cap_h():
     system = compile_circuit(parse_circuit(IDENTITY_16), (0,) * 16)
     for sweep in (count_all, distribution):

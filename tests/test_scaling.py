@@ -1,4 +1,4 @@
-"""Tests that the reduce layer and normalize scale with their input.
+"""Tests that the reduce layer, the kernel and normalize scale with their input.
 
 eliminate reduces each output row only by the pivots it holds and
 back-substitutes once, so an H layer of n qubits (n one-variable rows)
@@ -7,8 +7,11 @@ each phase term in one visit, so a z2 phase is not rescanned per pivot.
 A system is row-reduced once, however many outputs it is eliminated
 at, and what it keeps for that stays small.
 The XOR expansion of the canonical Z8 map costs about its output, k +
-C(k,2) + C(k,3) terms for k monomials, and the cap is checked before
-the phase is substituted. normalize finds each TOFFOLI target's next
+C(k,2) + C(k,3) terms for k monomials, timed against a loop that fills
+a map of that size, and the cap is checked before
+the phase is substituted. The kernel tabulates each polynomial by its
+subset-sum transform, so a tally of 2^k paths does not grow with the
+number of terms. normalize finds each TOFFOLI target's next
 gate in one backward pass; its output must equal the old rule, kept
 here as a reference loop.
 """
@@ -31,6 +34,7 @@ from pathsum import (
     all_basis_strings,
     compile_circuit,
     compile_mixed,
+    cyclotomic_amplitude,
     eliminate,
     normalize,
     random_circuit,
@@ -162,23 +166,46 @@ def test_eliminate_solves_dense_rows_exactly():
         assert reduced.phase.evaluate_mask(0) == system.phase.evaluate_mask(point)
 
 
+def best_seconds(call, repeats: int = 5) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def fill_a_map(terms: int) -> None:
+    """The reference loop: a {mask: weight mod 8} map of `terms` entries, filled and sorted."""
+    acc: dict[int, int] = {}
+    for mask in range(1, terms + 1):
+        acc[mask] = (acc.get(mask, 0) + 1) % 8
+    sorted(acc.items())
+
+
+# canonicalize takes 12-39 times the reference loop on its output size, with
+# or without a sys.settrace tracer (2 cores); the expansions below it
+# replaced took hundreds to thousands of times.
+REFERENCE_LOOPS = 100
+
+
 @pytest.mark.parametrize(
-    "coeff, k, terms, seconds",
+    "coeff, k, terms",
     [
-        (1, 60, 60 + 1770 + 34220, 2.0),  # the recursive merge of halves took 22 s
+        (1, 60, 60 + 1770 + 34220),  # the recursive merge of halves took 22 s, 3,500 reference loops
         # A pair weighs -2*coeff and a triple 4*coeff, 0 mod 8 here: adding
-        # the 2 million pairs or the 1.3 million triples anyway took over 1 s.
-        (4, 2000, 2000, 0.25),
-        (2, 200, 200 + 19900, 0.25),
+        # the 2 million pairs or the 1.3 million triples anyway took over 1 s,
+        # over 250 reference loops.
+        (4, 2000, 2000),
+        (2, 200, 200 + 19900),
     ],
 )
-def test_canonicalize_costs_about_its_output(coeff, k, terms, seconds):
+def test_canonicalize_costs_about_its_output(coeff, k, terms):
     # c * 1[x1 xor ... xor xk]: the monomials, the pairs unless 4 | c, the triples if c is odd.
     phase = MixedPhase(((coeff, GF2Poly(1 << v for v in range(1, k + 1))),))
-    start = time.perf_counter()
-    canonical = phase.canonicalize()
-    assert time.perf_counter() - start < seconds
-    assert len(canonical.terms) == terms
+    assert len(phase.canonicalize().terms) == terms
+    # Timed against a loop on the same machine, so a slow or traced run moves both.
+    assert best_seconds(phase.canonicalize) < REFERENCE_LOOPS * best_seconds(lambda: fill_a_map(terms))
 
 
 def test_cap_is_checked_before_the_phase_is_substituted(tmp_path, capsys):
@@ -198,3 +225,26 @@ def test_cap_is_checked_before_the_phase_is_substituted(tmp_path, capsys):
     assert time.perf_counter() - start < 5.0  # substituting first took about 2 minutes
     assert code == 3
     assert "300 path variables to enumerate, h = 600" in capsys.readouterr().err
+
+
+def test_a_24_qubit_t_chain_amplitude_tallies_2_24_paths_quickly():
+    # An H layer, the chain cx q q+1, one T and H again: elimination leaves
+    # 24 free variables and a phase with a term per triple of them.
+    n = 24
+    gates = (
+        tuple(Gate.h(q) for q in range(n))
+        + tuple(Gate.cnot(q, q + 1) for q in range(n - 1))
+        + (Gate.t(n - 1),)
+        + tuple(Gate.h(q) for q in range(n))
+    )
+    start = time.perf_counter()
+    value = cyclotomic_amplitude(Circuit(n, gates, Mode.MIXED), (0,) * n, (0,) * n)
+    assert time.perf_counter() - start < 10.0  # one numpy pass per monomial took 88 s
+    assert value.coeffs == (1 << 23, 1 << 23, 0, 0) and value.half_power == 2 * n
+
+
+def test_verify_random_z2_tallies_toffoli_outputs_quickly(capsys):
+    start = time.perf_counter()
+    code = main(["verify", "random", "--mode", "z2", "--n", "4", "--gates", "200", "--trials", "1", "--seed", "1"])
+    assert time.perf_counter() - start < 10.0  # one numpy pass per monomial took 27 s
+    assert code == 0 and capsys.readouterr().out.startswith("verified 1 circuit(s)")
